@@ -15,7 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 
@@ -72,9 +74,15 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        ot = other.transpose().data
-        out = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.data)
-        return IntMatrix(self.rows, other.cols, out)
+        zero = (0,) * other.cols
+        out = []
+        for row in self.data:
+            acc = zero
+            for a, orow in zip(row, other.data):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, orow)]
+            out.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -165,6 +173,27 @@ class _Smith:
     transforms are only accumulated when ``full`` is set (solving and
     kernels need just L and R).  Pivoting is deterministic: the nonzero
     entry of minimal absolute value, ties broken by lowest (row, col).
+
+    The elimination does work in proportion to the nonzeros it touches,
+    not to the size of the remaining block.  It relies on these
+    invariants, none of which changes the pivot rule or any output:
+
+    - At step t, rows and columns with index below t are zero off the
+      diagonal, so in rows >= t only columns >= t can be nonzero and whole
+      rows can be scanned.  No entry is smaller than a +-1, so the pivot
+      search stops at the first row from t holding one and takes its
+      lowest such column: the entry a scan of the whole block picks.
+    - A unit pivot divides every entry, so the divisibility pass is
+      vacuous and skipped.
+    - Row t of A and L does not change while the rows below it are
+      cleared, so only its nonzero positions are added into them.
+    - Column t of A is zero off row t while row t is cleared, so a column
+      operation changes only ``A[t][j]`` in A, and in R only the positions
+      where column t of R is nonzero.
+    - L and R are kept column-major: R as a list of its columns during
+      elimination, L transposed when elimination ends, so that ``solve``
+      adds whole columns.  Only ``diag`` and these columns are kept; D and
+      L are rebuilt on demand.  ``Linv`` and ``Rinv`` stay row-major.
     """
 
     def __init__(self, a: IntMatrix, full: bool = False):
@@ -172,132 +201,111 @@ class _Smith:
         self.full = full
         m, n = a.rows, a.cols
         A = [list(row) for row in a.data]
-        L = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-        R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        Linv = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if full else None
-        Rinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if full else None
-
-        def row_swap(i, j):
-            A[i], A[j] = A[j], A[i]
-            L[i], L[j] = L[j], L[i]
-            if full:
-                for r in Linv:
-                    r[i], r[j] = r[j], r[i]
-
-        def col_swap(i, j):
-            for r in A:
-                r[i], r[j] = r[j], r[i]
-            for r in R:
-                r[i], r[j] = r[j], r[i]
-            if full:
-                Rinv[i], Rinv[j] = Rinv[j], Rinv[i]
-
-        def row_add(i, j, c):
-            # row i += c * row j
-            Ai, Aj = A[i], A[j]
-            for k in range(n):
-                Ai[k] += c * Aj[k]
-            Li, Lj = L[i], L[j]
-            for k in range(m):
-                Li[k] += c * Lj[k]
-            if full:
-                for r in Linv:
-                    r[j] -= c * r[i]
-
-        def col_add(i, j, c):
-            # col i += c * col j
-            for r in A:
-                r[i] += c * r[j]
-            for r in R:
-                r[i] += c * r[j]
-            if full:
-                Ri, Rj = Rinv[i], Rinv[j]
-                for k in range(n):
-                    Rj[k] -= c * Ri[k]
-
-        def row_negate(i):
-            A[i] = [-x for x in A[i]]
-            L[i] = [-x for x in L[i]]
-            if full:
-                for r in Linv:
-                    r[i] = -r[i]
+        L = _identity_rows(m)
+        R = _identity_rows(n)  # R[j] is column j of R
+        Linv = _identity_rows(m) if full else None
+        Rinv = _identity_rows(n) if full else None
 
         t = 0
         while t < min(m, n):
-            empty = False
             while True:
-                # deterministic pivot: minimal |value|, then lowest (row, col)
-                best = None
-                for i in range(t, m):
-                    Ai = A[i]
-                    for j in range(t, n):
-                        v = Ai[j]
-                        if v != 0:
-                            av = abs(v)
-                            if best is None or av < best[0]:
-                                best = (av, i, j)
-                if best is None:
-                    empty = True
+                found = _find_pivot(A, t)
+                if found is None:
                     break
-                _, bi, bj = best
+                bi, bj = found
                 if bi != t:
-                    row_swap(t, bi)
+                    A[t], A[bi] = A[bi], A[t]
+                    L[t], L[bi] = L[bi], L[t]
+                    if full:
+                        for r in Linv:
+                            r[t], r[bi] = r[bi], r[t]
                 if bj != t:
-                    col_swap(t, bj)
-                if A[t][t] < 0:
-                    row_negate(t)
+                    for i in range(t, m):
+                        r = A[i]
+                        r[t], r[bj] = r[bj], r[t]
+                    R[t], R[bj] = R[bj], R[t]
+                    if full:
+                        Rinv[t], Rinv[bj] = Rinv[bj], Rinv[t]
+                At = A[t]
+                if At[t] < 0:
+                    A[t] = At = [-x for x in At]
+                    L[t] = [-x for x in L[t]]
+                    if full:
+                        for r in Linv:
+                            r[t] = -r[t]
 
-                pivot = A[t][t]
-                col_clean = True
-                for i in range(t + 1, m):
-                    v = A[i][t]
-                    if v:
-                        q = v // pivot
-                        if q:
-                            row_add(i, t, -q)
-                        if A[i][t]:
-                            col_clean = False
+                pivot = At[t]
+                Lt = L[t]
+                nz_a = list(compress(range(n), At))  # nonzero columns of row t
+                nz_l = list(compress(range(m), Lt))
+                col_clean = True  # over the rows below t with a nonzero in column t
+                for i in compress(range(t + 1, m), map(itemgetter(t), A[t + 1:])):
+                    Ai = A[i]
+                    q = Ai[t] // pivot
+                    if q:  # row i -= q * row t
+                        for k in nz_a:
+                            Ai[k] -= q * At[k]
+                        Li = L[i]
+                        for k in nz_l:
+                            Li[k] -= q * Lt[k]
+                        if full:
+                            for r in Linv:
+                                r[t] += q * r[i]
+                    if Ai[t]:
+                        col_clean = False
                 if not col_clean:
                     continue  # a smaller remainder appeared; re-pivot
+                Rt = R[t]
+                nz_r = list(compress(range(n), Rt))
                 row_clean = True
-                for j in range(t + 1, n):
-                    v = A[t][j]
+                for j in compress(range(t + 1, n), At[t + 1:]):
+                    v = At[j]
+                    q = v // pivot
+                    if q:  # col j -= q * col t
+                        At[j] = v = v - q * pivot
+                        Rj = R[j]
+                        for k in nz_r:
+                            Rj[k] -= q * Rt[k]
+                        if full:
+                            Vt, Vj = Rinv[t], Rinv[j]
+                            for k in range(n):
+                                Vt[k] += q * Vj[k]
                     if v:
-                        q = v // pivot
-                        if q:
-                            col_add(j, t, -q)
-                        if A[t][j]:
-                            row_clean = False
+                        row_clean = False
                 if not row_clean:
                     continue
+                if pivot == 1:
+                    break
                 # pivot row/col clean: enforce divisibility over the rest
-                bad = None
-                for i in range(t + 1, m):
-                    Ai = A[i]
-                    for j in range(t + 1, n):
-                        if Ai[j] % pivot:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next((i for i in range(t + 1, m)
+                            if any(x % pivot for x in filter(None, A[i]))), None)
                 if bad is None:
                     break
-                row_add(t, bad, 1)
-            if empty:
+                # row t += row bad
+                Ab, Lb = A[bad], L[bad]
+                for k in range(n):
+                    At[k] += Ab[k]
+                for k in range(m):
+                    Lt[k] += Lb[k]
+                if full:
+                    for r in Linv:
+                        r[bad] -= r[t]
+            if found is None:
                 break
             t += 1
 
-        self.rank = sum(1 for i in range(min(m, n)) if A[i][i] != 0)
         self.diag = tuple(A[i][i] for i in range(min(m, n)))
-        self._A = A
-        self._L = L
+        self.rank = sum(1 for d in self.diag if d)
+        self._L = list(zip(*L))                 # column k of L
+        self._R = [tuple(col) for col in R]     # column k of R
         self._Linv = Linv
-        self._R = R
         self._Rinv = Rinv
 
     def d_matrix(self) -> IntMatrix:
         m, n = self.shape
-        return IntMatrix(m, n, tuple(tuple(r) for r in self._A))
+        diag = self.diag
+        return IntMatrix(m, n, tuple(tuple(diag[i] if i == j else 0 for j in range(n))
+                                     for i in range(m)))
 
     def u_matrix(self) -> IntMatrix:
         if not self.full:
@@ -313,41 +321,63 @@ class _Smith:
 
     def l_matrix(self) -> IntMatrix:
         m = self.shape[0]
-        return IntMatrix(m, m, tuple(tuple(r) for r in self._L))
+        return IntMatrix(m, m, tuple(zip(*self._L)))
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
         """One integer solution of A x = b, free parameters set to zero."""
         m, n = self.shape
         if len(b) != m:
             raise ValueError("rhs length mismatch")
-        nz_b = [(k, v) for k, v in enumerate(b) if v]
-        L = self._L
-        c = [sum(L[i][k] * v for k, v in nz_b) for i in range(m)]
-        y = [0] * n
-        for i in range(min(m, n)):
-            d = self._A[i][i]
+        c = [0] * m  # L b, summed over the nonzeros of b
+        for col, bk in zip(self._L, b):
+            if bk:
+                c = [ci + bk * li for ci, li in zip(c, col)]
+        diag = self.diag
+        x = [0] * n  # R y, summed over the nonzeros of y
+        for i, d in enumerate(diag):
             if d == 0:
                 if c[i] != 0:
                     raise NoSolution("inconsistent row in diagonalized system")
             else:
                 if c[i] % d:
                     raise NoSolution("divisibility obstruction")
-                y[i] = c[i] // d
-        for i in range(min(m, n), m):
+                yi = c[i] // d
+                if yi:
+                    x = [xk + yi * rk for xk, rk in zip(x, self._R[i])]
+        for i in range(len(diag), m):
             if c[i] != 0:
                 raise NoSolution("inconsistent row in diagonalized system")
-        nz_y = [(k, v) for k, v in enumerate(y) if v]
-        R = self._R
-        return tuple(sum(R[i][k] * v for k, v in nz_y) for i in range(n))
+        return tuple(x)
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel lattice of A."""
-        m, n = self.shape
-        out = []
-        for j in range(n):
-            if j >= min(m, n) or self._A[j][j] == 0:
-                out.append(tuple(self._R[i][j] for i in range(n)))
-        return out
+        diag = self.diag
+        return [col for j, col in enumerate(self._R) if j >= len(diag) or diag[j] == 0]
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _find_pivot(A: list[list[int]], t: int) -> Optional[tuple[int, int]]:
+    """(row, col) of the entry of minimal |value| in rows and columns >= t,
+    ties to the lowest (row, col); None when that block is zero.  Rows >= t
+    must be zero in columns < t, so whole rows can be scanned; the scan
+    stops at the first row holding a +-1, since nothing is smaller."""
+    best, at = 0, None
+    for i in range(t, len(A)):
+        v = min(map(abs, filter(None, A[i])), default=0)
+        if v and (at is None or v < best):
+            best, at = v, i
+            if v == 1:
+                break
+    if at is None:
+        return None
+    row = A[at]
+    return at, min(row.index(u) for u in (best, -best) if u in row)
 
 
 @lru_cache(maxsize=4096)
@@ -489,8 +519,7 @@ class GroupData:
 
 
 def _subquotient(kernel_cols: list[tuple[int, ...]], n_mid: int,
-                 image_cols: list[tuple[int, ...]],
-                 mod_reduce: Optional[int] = None) -> GroupData:
+                 image_cols: list[tuple[int, ...]]) -> GroupData:
     """ker/im where ``kernel_cols`` spans a saturated sublattice of Z^n_mid
     containing every column of ``image_cols``."""
     k = len(kernel_cols)
@@ -514,9 +543,11 @@ def _subquotient(kernel_cols: list[tuple[int, ...]], n_mid: int,
     l = msmith.l_matrix()         # u^{-1}
     reps = []
     for pos in order:
-        gen_coord = u.col(pos)
-        vec = tuple(sum(kernel_cols[j][i] * gen_coord[j] for j in range(k)) for i in range(n_mid))
-        reps.append(vec)
+        vec = [0] * n_mid
+        for kcol, g in zip(kernel_cols, u.col(pos)):
+            if g:
+                vec = [x + g * y for x, y in zip(vec, kcol)]
+        reps.append(tuple(vec))
 
     moduli = [0] * len(free_pos) + list(torsion)
 
@@ -533,10 +564,6 @@ def _subquotient(kernel_cols: list[tuple[int, ...]], n_mid: int,
             out.append(z[pos] % m if m else z[pos])
         return tuple(out)
 
-    if mod_reduce:
-        def class_of_mod(cycle: Sequence[int], _inner=class_of) -> tuple[int, ...]:
-            return _inner(cycle)
-        return GroupData(group, tuple(reps), class_of_mod)
     return GroupData(group, tuple(reps), class_of)
 
 
@@ -572,7 +599,7 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
              [tuple(1 if i == j else 0 for i in range(n_mid)) for j in range(n_mid)]
     image = [d_in.col(j) for j in range(d_in.cols)]
     image += [tuple(m if i == j else 0 for i in range(n_mid)) for j in range(n_mid)]
-    return _subquotient(kernel, n_mid, image, mod_reduce=m)
+    return _subquotient(kernel, n_mid, image)
 
 
 def rank_of(a: IntMatrix) -> int:

@@ -280,7 +280,7 @@ def construct_tdual(pair: FluxPair) -> tuple[FluxPair, Certificate]:
     inc = vstack([
         IntMatrix.identity(n_a) if n_a else IntMatrix.zeros(0, 0),
         IntMatrix.zeros(corr.count(3) - n_a, n_a),
-    ]) if True else None
+    ])
     top = hstack([d_f, inc])
     bottom = hstack([IntMatrix.zeros(coboundary_matrix(m, 3, None).rows, n_b),
                      coboundary_matrix(m, 3, None)])
