@@ -26,10 +26,12 @@ from .exactalg import (
     GroupData,
     IntMatrix,
     NoSolution,
+    block_matrix,
     homology_at,
     homology_at_mod,
     homology_rank_at,
     solve_integer,
+    solve_mod,
 )
 
 
@@ -266,6 +268,14 @@ def is_same_z2_class(a: System, b: System) -> bool:
     base = a.base if a is not None else (b.base if b is not None else None)
     if base is None:
         return True
+    return z2_rescaling(base, a, b) is not None
+
+
+def z2_rescaling(base: DeltaComplex, a: System, b: System) -> Optional[tuple[int, ...]]:
+    """A vertex function u mod 2 with u(tail) + u(head) = 1 exactly on the
+    edges where the signs of a and b differ, so that rescaling by (-1)^u
+    turns a into b; None when a and b define different classes in
+    H^1(X, Z/2)."""
     diff = [(0 if _sign(a, e) == _sign(b, e) else 1) for e in range(base.count(1))]
     rows = []
     for e in range(base.count(1)):
@@ -274,13 +284,10 @@ def is_same_z2_class(a: System, b: System) -> bool:
         row[t] += 1
         row[h] += 1
         rows.append(row)
-    m = IntMatrix.from_rows(rows, cols=base.vertex_count)
-    from .exactalg import solve_mod
     try:
-        solve_mod(m, diff, 2)
-        return True
+        return solve_mod(IntMatrix.from_rows(rows, cols=base.vertex_count), diff, 2)
     except NoSolution:
-        return False
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +314,6 @@ def coboundary_matrix(x: DeltaComplex, k: int, system: System = None) -> IntMatr
     if k < 0:
         return IntMatrix.zeros(x.count(k + 1), 0)
     return _coboundary_cached(x, k, system_key(system))
-
-
-def boundary_matrix(x: DeltaComplex, k: int, system: System = None) -> IntMatrix:
-    """Transported boundary C_k -> C_{k-1}: transpose of the coboundary."""
-    if k <= 0:
-        return IntMatrix.zeros(0, x.count(0) if k == 0 else 0)
-    return coboundary_matrix(x, k - 1, system).transpose()
 
 
 @dataclass(frozen=True)
@@ -457,45 +457,92 @@ def bockstein(c: TwistedCochain, lift_negative: bool = False) -> TwistedCochain:
 
 
 # ---------------------------------------------------------------------------
-# Cohomology / homology of a complex
+# Chain complexes, mapping cones and their (co)homology
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChainComplex:
+    """A cochain complex C^0 -> ... -> C^dim of free abelian groups.
+
+    ``delta(k)`` is the matrix of C^k -> C^{k+1} for every integer k, with
+    C^k = 0 outside 0..dim.  ``key`` names the complex in the cache of its
+    groups, so equal keys must give equal coboundaries; each kind of
+    complex starts its keys with its own tag, so that keys of different
+    kinds never compare equal.
+    """
+
+    key: tuple
+    dim: int
+    delta: Callable[[int], IntMatrix] = field(compare=False, repr=False)
+
+    def cohomology(self, ring=RING_Z) -> tuple[GroupData, ...]:
+        """H^0..H^dim with generator cocycles and class_of maps.
+
+        ``ring`` is "Z", "Q" (ranks only), or an int m >= 2 for Z/m
+        coefficients; anything else raises ValueError.
+        """
+        return _groups(self, ring, False)
+
+    def homology(self, ring=RING_Z) -> tuple[GroupData, ...]:
+        """H_0..H_dim of the chain complex of transposed coboundaries."""
+        return _groups(self, ring, True)
+
+
+# typed: 2.0 and True must not find the entries of 2 and 1, which would
+# skip the ring check.
+@lru_cache(maxsize=2048, typed=True)
+def _groups(cx: ChainComplex, ring, transposed: bool) -> tuple[GroupData, ...]:
+    if not (ring in (RING_Z, RING_Q) or (type(ring) is int and ring >= 2)):
+        raise ValueError(f"ring must be {RING_Z!r}, {RING_Q!r} or an int modulus >= 2, "
+                         f"not {ring!r}")
+    out = []
+    for k in range(cx.dim + 1):
+        d_in, d_out = cx.delta(k - 1), cx.delta(k)
+        if transposed:  # H_k = ker(delta^{k-1} transposed) / im(delta^k transposed)
+            d_in, d_out = d_out.transpose(), d_in.transpose()
+        if ring == RING_Z:
+            out.append(homology_at(d_in, d_out))
+        elif ring == RING_Q:
+            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
+        else:
+            out.append(homology_at_mod(d_in, d_out, ring))
+    return tuple(out)
+
+
+def cone(target: ChainComplex, source: ChainComplex,
+         f: Callable[[int], IntMatrix], k: int) -> IntMatrix:
+    """Coboundary delta^k of the mapping cone T^k (+) S^{k-1} of a degree-2
+    map f^j: S^j -> T^{j+2}:
+
+        delta^k = [[t^k, (-1)^k f^{k-1}],
+                   [0,   s^{k-1}       ]]
+
+    The alternating sign makes delta^2 = 0 whenever t f = f s.
+    """
+    t, s = target.delta(k), source.delta(k - 1)
+    return block_matrix([[t, f(k - 1).scale(1 if k % 2 == 0 else -1)],
+                         [IntMatrix.zeros(s.rows, t.cols), s]])
+
+
+def cochain_complex(x: DeltaComplex, system: System = None) -> ChainComplex:
+    """The twisted cochain complex C^*(X, L) with L = ``system``."""
+    if system is not None and system.base != x:
+        raise InvalidLocalSystem("system lives over a different complex")
+    return ChainComplex(("base", x, system_key(system)), x.dimension,
+                        lambda k: coboundary_matrix(x, k, system))
+
 
 def cohomology(x: DeltaComplex, system: System = None, ring=RING_Z) -> list[GroupData]:
     """H^0..H^D with generator cocycles and class_of maps.
 
-    ``ring`` is "Z", "Q", or an integer modulus m for Z/m coefficients.
+    ``ring`` is "Z", "Q", or an int modulus m >= 2 for Z/m coefficients.
     """
-    if system is not None and system.base != x:
-        raise InvalidLocalSystem("system lives over a different complex")
-    out = []
-    for k in range(x.dimension + 1):
-        d_in = coboundary_matrix(x, k - 1, system) if k else IntMatrix.zeros(x.count(0), 0)
-        d_out = coboundary_matrix(x, k, system)
-        if ring == RING_Z:
-            out.append(homology_at(d_in, d_out))
-        elif ring == RING_Q:
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
-        else:
-            out.append(homology_at_mod(d_in, d_out, int(ring)))
-    return out
+    return list(cochain_complex(x, system).cohomology(ring))
 
 
 def homology(x: DeltaComplex, system: System = None, ring=RING_Z) -> list[GroupData]:
     """H_0..H_D of the transported chain complex (transposed coboundaries)."""
-    if system is not None and system.base != x:
-        raise InvalidLocalSystem("system lives over a different complex")
-    out = []
-    for k in range(x.dimension + 1):
-        d_out = boundary_matrix(x, k, system)
-        d_in = boundary_matrix(x, k + 1, system) if k < x.dimension \
-            else IntMatrix.zeros(x.count(k), 0)
-        if ring == RING_Z:
-            out.append(homology_at(d_in, d_out))
-        elif ring == RING_Q:
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
-        else:
-            out.append(homology_at_mod(d_in, d_out, int(ring)))
-    return out
+    return list(cochain_complex(x, system).homology(ring))
 
 
 @dataclass(frozen=True)
@@ -516,24 +563,23 @@ class DualityReport:
 
 
 def poincare_duality_check(x: DeltaComplex, orientation: System,
-                           systems: Sequence[tuple[str, System]] = (("Z", None),),
-                           cohomology_fn: Optional[Callable] = None,
-                           homology_fn: Optional[Callable] = None) -> DualityReport:
-    """Check H^i(X, L) = H_{n-i}(X, L (x) orn) as abstract groups.
+                           systems: Sequence[tuple[str, System]] = (("Z", None),)) -> DualityReport:
+    """Check H^i(X, L) = H_{n-i}(X, L (x) orn) as abstract groups."""
+    return duality_report(lambda ls: cochain_complex(x, ls), orientation, systems)
 
-    The default (co)homology callables work on the complex itself; the
-    bundle module passes total-model versions to check 3-dimensional total
-    spaces with the same code.
-    """
-    n = x.dimension
-    co = cohomology_fn or (lambda ls: [g.group for g in cohomology(x, ls)])
-    ho = homology_fn or (lambda ls: [g.group for g in homology(x, ls)])
+
+def duality_report(complex_of: Callable[[System], ChainComplex], orientation: System,
+                   systems: Sequence[tuple[str, System]]) -> DualityReport:
+    """Compare H^i(C(L)) with H_{n-i}(C(L (x) orientation)) for each named
+    system L, where ``complex_of`` builds the n-dimensional complex C(L)."""
+    n = complex_of(None).dim
     entries = []
     for name, ls in systems:
-        lhs = co(ls)
-        rhs = ho(tensor(ls, orientation))
+        lhs = complex_of(ls).cohomology()
+        rhs = complex_of(tensor(ls, orientation)).homology()
         for i in range(n + 1):
-            entries.append((i, name, lhs[i], rhs[n - i], lhs[i] == rhs[n - i]))
+            a, b = lhs[i].group, rhs[n - i].group
+            entries.append((i, name, a, b, a == b))
     return DualityReport(n, tuple(entries))
 
 
@@ -542,7 +588,6 @@ def is_coboundary(c: TwistedCochain) -> bool:
     m = coboundary_matrix(c.base, c.degree - 1, c.system)
     try:
         if c.modulus:
-            from .exactalg import solve_mod
             solve_mod(m, c.values, c.modulus)
         else:
             solve_integer(m, c.values)

@@ -4,13 +4,20 @@ A flux pair carries a degree-3 class on the total space in invariant form:
 a base 3-cochain together with a xi-twisted 2-cochain (the push-forward
 part).  The dual is produced by exchanging the Euler cocycle with the
 push-forward flux and repairing the base part by integer linear solves on
-the correspondence complex
+the correspondence complex.  That is the mapping cone (``complexes.cone``)
+of the cup with the pulled-back dual Euler cocycle between two total-space
+models of E, pi^*(ehat) ^ : C^*(E, xi) -> C^{*+2}(E), which acts as
+(gamma, rho) |-> (ehat ^ gamma, ehat ^ rho):
 
-    C^k(F) = C^k(M) (+) C^{k-1}(M,xi) (+) C^{k-1}(M,xi) (+) C^{k-2}(M),
+    C^k(F) = C^k(E) (+) C^{k-1}(E, xi)
+           = C^k(M) (+) C^{k-1}(M,xi) (+) C^{k-1}(M,xi) (+) C^{k-2}(M).
 
-an iterated mapping cone over both Euler cocycles.  Every step returns
-exact integer certificates; nothing is checked only up to cohomology
-unless the statement itself is cohomological.
+The cup with ehat commutes with the differential of E's model only up to
+the commutator of the two Euler cocycles: the rho -> alpha entry of
+delta^2 is (ehat ^ e - e ^ ehat) ^ rho, a cochain of degree >= 4 on M.  It
+vanishes when the base has dimension <= 3, which the model therefore
+requires.  Every step returns exact integer certificates; nothing is
+checked only up to cohomology unless the statement itself is cohomological.
 """
 
 from __future__ import annotations
@@ -37,8 +44,10 @@ from .complexes import (
     TwistedCochain,
     coboundary,
     coboundary_matrix,
-    cup,
     cohomology,
+    cone,
+    cup,
+    cup_matrix_left,
     is_same_z2_class,
     system_key,
     tensor,
@@ -202,28 +211,17 @@ class CorrespondenceComplex:
 
 @lru_cache(maxsize=2048)
 def _corr_delta(e_bundle: BundleDescriptor, ehat_bundle: BundleDescriptor, k: int) -> IntMatrix:
-    from .complexes import cup_matrix_left
-
-    base = e_bundle.base
+    """delta^k of the cone of pi^*(ehat) ^ : C^*(E, xi) -> C^{*+2}(E)."""
     xi = e_bundle.xi
-    e = e_bundle.euler_cochain()
     ehat = ehat_bundle.euler_cochain()
-    d = lambda deg, sys: coboundary_matrix(base, deg, sys)
-    sign = 1 if k % 2 == 0 else -1
-    # the rho column carries opposite signs in the two middle rows: the
-    # exactness witness for the flux discrepancy lives there
-    cup_e_1 = cup_matrix_left(e, k - 1, xi).scale(sign)          # beta -> alpha'
-    cup_ehat_1 = cup_matrix_left(ehat, k - 1, xi).scale(sign)    # gamma -> alpha'
-    cup_ehat_2 = cup_matrix_left(ehat, k - 2, None).scale(sign)  # rho -> beta'
-    cup_e_3 = cup_matrix_left(e, k - 2, None).scale(-sign)       # rho -> gamma'
-    n = base.count
-    z = IntMatrix.zeros
-    return block_matrix([
-        [d(k, None), cup_e_1, cup_ehat_1, z(n(k + 1), n(k - 2))],
-        [z(n(k), n(k)), d(k - 1, xi), z(n(k), n(k - 1)), cup_ehat_2],
-        [z(n(k), n(k)), z(n(k), n(k - 1)), d(k - 1, xi), cup_e_3],
-        [z(n(k - 1), n(k)), z(n(k - 1), n(k - 1)), z(n(k - 1), n(k - 1)), d(k - 2, None)],
-    ])
+
+    def cup_ehat(j: int) -> IntMatrix:
+        # (gamma, rho) |-> (ehat ^ gamma, ehat ^ rho), block diagonal
+        top, bot = cup_matrix_left(ehat, j, xi), cup_matrix_left(ehat, j - 1, None)
+        return block_matrix([[top, IntMatrix.zeros(top.rows, bot.cols)],
+                             [IntMatrix.zeros(bot.rows, top.cols), bot]])
+
+    return cone(TotalComplex(e_bundle).chain, TotalComplex(e_bundle, xi).chain, cup_ehat, k)
 
 
 # ---------------------------------------------------------------------------

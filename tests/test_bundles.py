@@ -70,6 +70,15 @@ def test_total_delta_squared_zero():
 # Cohomology of the total model
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("ring", [2.5, "q", "2", True, 1])
+def test_invalid_ring_is_rejected_on_total_models(ring):
+    model = TotalComplex(build_bundle(klein_bottle(), None, 1))
+    model.cohomology(2)  # a cached Z/2 answer must not be reused
+    for groups in (model.cohomology, model.homology):
+        with pytest.raises(ValueError, match="ring must be"):
+            groups(ring)
+
+
 def test_klein_bottle_over_circle():
     info = circle()
     kb = build_bundle(info, info.xi(), 0)

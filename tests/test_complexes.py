@@ -134,6 +134,15 @@ def test_mod2_cohomology_of_projective_plane():
     assert h2 == [FG(0, (2,)), FG(0, (2,)), FG(0, (2,))]
 
 
+@pytest.mark.parametrize("ring", [2.5, "q", "2", True, 1])
+def test_invalid_ring_is_rejected(ring):
+    x = klein_bottle().complex
+    cohomology(x, None, ring=2)  # a cached Z/2 answer must not be reused
+    for groups in (cohomology, homology):
+        with pytest.raises(ValueError, match="ring must be"):
+            groups(x, None, ring=ring)
+
+
 # ---------------------------------------------------------------------------
 # Homology
 # ---------------------------------------------------------------------------
