@@ -1,8 +1,10 @@
 """Exact symbolic checks of the bracket and transform identities.
 
-All computations run on trigonometric polynomials with Gaussian-rational
-coefficients over a torus double cover, so every identity is verified
-coefficient by coefficient with no floating point anywhere.
+All computations run on real trigonometric polynomials over a torus
+double cover, stored as integer cos/sin coefficients over a common
+denominator, so every identity is verified coefficient by coefficient with
+no floating point anywhere.  Contexts still read and write the Gaussian
+full-spectrum JSON schema.
 """
 
 import random

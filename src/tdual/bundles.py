@@ -42,7 +42,6 @@ from .complexes import (
     is_same_z2_class,
     system_key,
     tensor,
-    trivial_system,
     z2_rescaling,
 )
 from .exactalg import (

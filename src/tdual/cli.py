@@ -5,7 +5,9 @@ complexes as {"vertices": n, "simplices": {...}}, sign systems as
 {"edge_signs": [...]}, bundles as {"base":..., "xi":..., "euler":...},
 flux pairs as {"bundle":..., "H3":..., "Fhat":...}, and symbolic contexts
 as {"dim":..., "deck":..., "a":..., "Fhat":..., "H3":...}.  Exit status is
-zero exactly when every check run by the command passes.
+zero exactly when every check run by the command passes, 1 when a check
+fails, and 2 when an input file is missing, unreadable, not JSON or
+rejected by the library's loader (reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .bundles import BundleDescriptor, total_cohomology
 from .complexes import DeltaComplex, LocalSystem, cohomology
@@ -22,8 +25,24 @@ from .pipeline import run_fixtures, run_pipeline
 from .tduality import FluxPair, construct_tdual, verify_tduality
 
 
-def _load(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+class InputError(Exception):
+    """An input file that cannot be read or loaded; ``main`` exits 2."""
+
+
+def _load(path: str, build: Callable[[Any], Any]):
+    """Read a JSON file and build a library object from it."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from None
+    except ValueError as e:  # undecodable bytes or malformed JSON
+        raise InputError(f"{path}: invalid JSON: {e}") from None
+    try:
+        return build(obj)
+    except KeyError as e:
+        raise InputError(f"{path}: missing field {e}") from None
+    except Exception as e:  # anything the loader rejects
+        raise InputError(f"{path}: {str(e) or type(e).__name__}") from None
 
 
 def _print_groups(label: str, groups) -> None:
@@ -31,24 +50,24 @@ def _print_groups(label: str, groups) -> None:
 
 
 def cmd_cohomology(args) -> int:
-    x = DeltaComplex.from_json_dict(_load(args.space))
+    x = _load(args.space, DeltaComplex.from_json_dict)
     system = None
     if args.local_system:
-        system = LocalSystem.from_json_dict(x, _load(args.local_system))
+        system = _load(args.local_system, lambda obj: LocalSystem.from_json_dict(x, obj))
     groups = [g.group for g in cohomology(x, system)]
     _print_groups("H^*", groups)
     return 0
 
 
 def cmd_bundle_cohomology(args) -> int:
-    bundle = BundleDescriptor.from_json_dict(_load(args.bundle))
+    bundle = _load(args.bundle, BundleDescriptor.from_json_dict)
     system = bundle.xi if args.coeff == "xi" else None
     _print_groups("H^*(E)", total_cohomology(bundle, system))
     return 0
 
 
 def cmd_tdual(args) -> int:
-    pair = FluxPair.from_json_dict(_load(args.pair))
+    pair = _load(args.pair, FluxPair.from_json_dict)
     dual, cert = construct_tdual(pair)
     out = {"dual": dual.to_json_dict(), "certificate": cert.to_json_dict()}
     print(json.dumps(out, sort_keys=True, indent=2))
@@ -56,15 +75,15 @@ def cmd_tdual(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    p = FluxPair.from_json_dict(_load(args.pair))
-    q = FluxPair.from_json_dict(_load(args.other))
+    p = _load(args.pair, FluxPair.from_json_dict)
+    q = _load(args.other, FluxPair.from_json_dict)
     report = verify_tduality(p, q)
     print(report)
     return 0 if report.ok else 1
 
 
 def cmd_ktheory(args) -> int:
-    pair = FluxPair.from_json_dict(_load(args.pair))
+    pair = _load(args.pair, FluxPair.from_json_dict)
     kg = ahss_k_groups(TwistClass.from_flux(pair, args.xi_twist))
     print(f"K^0 = {kg.K0}")
     print(f"K^1 = {kg.K1}")
@@ -103,7 +122,7 @@ def cmd_tables(args) -> int:
 def cmd_courant_check(args) -> int:
     from .courant import EquivariantContext, run_context_checks
 
-    ctx = EquivariantContext.from_json_dict(_load(args.context))
+    ctx = _load(args.context, EquivariantContext.from_json_dict)
     report = run_context_checks(ctx, sections=args.sections, seed=args.seed)
     print(report)
     return 0 if report.ok else 1
@@ -186,7 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

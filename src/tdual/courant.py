@@ -14,9 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .fourier import Form, FourierScalar, GaussQ, VectorField, form_primitive
+from .fourier import Form, FourierScalar, VectorField, form_primitive
 
 Rat = Fraction
 

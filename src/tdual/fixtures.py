@@ -11,7 +11,7 @@ fixture runner compares them against the engine's output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .exactalg import FGAbelianGroup as FG
 

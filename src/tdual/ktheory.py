@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Union
+from typing import Union
 
 from .bundles import BundleDescriptor, TotalCochain, TotalComplex
 from .complexes import LocalSystem, System, coboundary_matrix, is_coboundary

@@ -3,7 +3,6 @@ K-groups, and diff everything against the reference tables."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -27,7 +26,6 @@ from .tduality import (
     FluxPair,
     construct_tdual,
     duals_equivalent,
-    hori_small,
     small_twisted_cohomology,
     verify_tduality,
 )

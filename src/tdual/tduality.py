@@ -33,16 +33,10 @@ from .bundles import (
     TotalCochain,
     align_xi_cochain,
     pullback,
-    pushforward,
-    same_bundle,
 )
 from .complexes import (
     BaseMismatch,
-    DeltaComplex,
-    LocalSystem,
-    System,
     TwistedCochain,
-    coboundary,
     coboundary_matrix,
     cohomology,
     cone,
@@ -50,10 +44,8 @@ from .complexes import (
     cup_matrix_left,
     is_same_z2_class,
     system_key,
-    tensor,
 )
 from .exactalg import (
-    FGAbelianGroup,
     IntMatrix,
     NoSolution,
     block_matrix,

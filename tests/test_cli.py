@@ -125,3 +125,91 @@ def test_builders_are_deterministic():
 def test_klein_fixture_values():
     res = run_fixtures(klein_fixtures())
     assert all(r.ok for r in res)
+
+
+# ---------------------------------------------------------------------------
+# Bad input: one error line on stderr and exit status 2
+# ---------------------------------------------------------------------------
+
+def context_file(tmp_path, edit):
+    obj = standard_contexts()[1][1].to_json_dict()
+    edit(obj)
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(obj))
+    return path
+
+
+def assert_input_error(capsys, argv, path, reason):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {path}: ")
+    assert reason in lines[0]
+
+
+@pytest.mark.parametrize("command", ["cohomology", "bundle-cohomology", "tdual",
+                                     "ktheory", "courant-check", "verify"])
+def test_missing_and_malformed_files_exit_2(tmp_path, capsys, klein_pair_file, command):
+    rest = [str(klein_pair_file)] if command == "verify" else []
+    missing = tmp_path / "missing.json"
+    assert_input_error(capsys, [command, str(missing)] + rest, missing,
+                       "No such file or directory")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    assert_input_error(capsys, [command, str(broken)] + rest, broken, "invalid JSON")
+
+
+def test_second_input_file_is_checked_too(tmp_path, capsys, klein_pair_file):
+    missing = tmp_path / "other.json"
+    assert_input_error(capsys, ["verify", str(klein_pair_file), str(missing)],
+                       missing, "No such file or directory")
+    info = sigma(1)
+    space_path = tmp_path / "space.json"
+    space_path.write_text(info.complex.to_json())
+    ls_path = tmp_path / "ls.json"
+    ls_path.write_text(json.dumps({"edge_signs": [1]}))
+    assert_input_error(capsys, ["cohomology", str(space_path), "--local-system",
+                                str(ls_path)], ls_path, "one sign per edge")
+
+
+def test_courant_check_rejects_a_non_real_spectrum(tmp_path, capsys):
+    def non_real(obj):
+        obj["a"][0]["waves"] = [{"freq": [1, 0], "re": "1", "im": "1"}]
+    path = context_file(tmp_path, non_real)
+    assert_input_error(capsys, ["courant-check", str(path)], path, "reality violated")
+
+
+def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
+    def non_involutive(obj):
+        obj["deck"]["A"] = [[1, 1], [0, 1]]
+
+    def invariant_potential(obj):
+        obj["deck"]["b"] = ["0", "0"]
+
+    def missing_dim(obj):
+        del obj["dim"]
+
+    for edit, reason in ((non_involutive, "involution"),
+                         (invariant_potential, "anti-invariant"),
+                         (missing_dim, "missing field 'dim'")):
+        path = context_file(tmp_path, edit)
+        assert_input_error(capsys, ["courant-check", str(path)], path, reason)
+
+
+def test_rejected_flux_pair_exits_2_and_failed_check_exits_1(tmp_path, capsys,
+                                                             klein_pair_file):
+    obj = json.loads(klein_pair_file.read_text())
+    obj["bundle"]["euler"]["values"] = obj["bundle"]["euler"]["values"] + [0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    for command in (["tdual", str(bad)], ["ktheory", str(bad)],
+                    ["verify", str(klein_pair_file), str(bad)]):
+        assert_input_error(capsys, command, bad, "euler cochain has wrong length")
+    info = sigma(1)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(build_flux(build_bundle(info, info.xi(), 0), 1).to_json())
+    b.write_text(build_flux(build_bundle(info, info.xi(), 0), 0).to_json())
+    assert main(["verify", str(a), str(b)]) == 1
+    assert capsys.readouterr().err == ""
