@@ -13,10 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
+from .bundles import BundleDescriptor
 from .complexes import DeltaComplex, LocalSystem, System, cohomology
-from .exactalg import IntMatrix, NoSolution, solve_mod
+from .exactalg import FGAbelianGroup, IntMatrix, NoSolution, solve_mod
+from .tduality import FluxPair
 
 
 class InvalidXi(Exception):
@@ -255,7 +258,6 @@ class SpaceInfo:
         equal-exponent heuristic is tried first, then all characters."""
         if self.complex.dimension < 2:
             return None
-        from itertools import combinations
         names = [name for name, _ in self.label_edges]
         candidates = [self.reversing_labels]
         for r in range(len(names) + 1):
@@ -377,8 +379,6 @@ def space(kind: str, **params) -> SpaceInfo:
 
 def _twisted_h2(x: DeltaComplex, xi: LocalSystem):
     """(group, generating 2-cocycle) of H^2(X, Z_xi); trivial below dim 2."""
-    from .exactalg import FGAbelianGroup
-
     if x.dimension < 2:
         return FGAbelianGroup(0), (0,) * x.count(2)
     h2 = cohomology(x, xi)[2]
@@ -389,8 +389,6 @@ def _twisted_h2(x: DeltaComplex, xi: LocalSystem):
 def build_bundle(info: SpaceInfo, xi: Optional[LocalSystem] = None, j: int = 0):
     """Circle bundle over a catalog space with twisted Euler class j times
     the canonical generator of H^2(base, Z_xi)."""
-    from .bundles import BundleDescriptor
-
     x = info.complex
     if xi is None:
         xi = info.xi()
@@ -413,16 +411,14 @@ def build_bundle(info: SpaceInfo, xi: Optional[LocalSystem] = None, j: int = 0):
 def build_flux(bundle, k: int = 0):
     """Flux pair on a bundle whose push-forward class is k times the
     canonical generator of H^2(base, Z_xi)."""
-    from .tduality import FluxPair
-
     x = bundle.base
     h2, gen = _twisted_h2(x, bundle.xi)
     if h2.is_trivial:
         if k != 0:
             raise KOutOfRange("flux group is trivial; only k = 0 exists")
-        return FluxPair(bundle, (0,) * x.count(3), (0,) * x.count(2))
+        return FluxPair(bundle, (), (0,) * x.count(2))
     if h2.free_rank == 0:
         d = h2.torsion[0]
         if not 0 <= k < d:
             raise KOutOfRange(f"k must lie in range 0..{d - 1}")
-    return FluxPair(bundle, (0,) * x.count(3), tuple(k * v for v in gen))
+    return FluxPair(bundle, (), tuple(k * v for v in gen))

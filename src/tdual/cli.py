@@ -3,11 +3,12 @@
 Subcommands operate on the JSON schemas declared by the library types:
 complexes as {"vertices": n, "simplices": {...}}, sign systems as
 {"edge_signs": [...]}, bundles as {"base":..., "xi":..., "euler":...},
-flux pairs as {"bundle":..., "H3":..., "Fhat":...}, and symbolic contexts
-as {"dim":..., "deck":..., "a":..., "Fhat":..., "H3":...}.  Exit status is
-zero exactly when every check run by the command passes, 1 when a check
-fails, and 2 when an input file is missing, unreadable, not JSON or
-rejected by the library's loader (reported as one ``error:`` line).
+flux pairs over a base of dimension <= 2 as {"bundle":..., "H3": [],
+"Fhat":...}, and symbolic contexts as {"dim":..., "deck":..., "a":...,
+"Fhat":..., "H3":...}.  Exit status is zero exactly when every check run
+by the command passes, 1 when a check fails, and 2 when an input file is
+missing, unreadable, not JSON, shaped wrongly for its type or rejected by
+the library's loader (reported as one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -15,11 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
 from .bundles import BundleDescriptor, total_cohomology
-from .complexes import DeltaComplex, LocalSystem, cohomology
+from .complexes import BaseMismatch, DeltaComplex, LocalSystem, cohomology
+from .courant import EquivariantContext, run_context_checks
+from .fixtures import all_fixtures
 from .ktheory import TwistClass, ahss_k_groups
 from .pipeline import run_fixtures, run_pipeline
 from .tduality import FluxPair, construct_tdual, verify_tduality
@@ -37,10 +41,15 @@ def _load(path: str, build: Callable[[Any], Any]):
         raise InputError(f"{path}: {e.strerror or e}") from None
     except ValueError as e:  # undecodable bytes or malformed JSON
         raise InputError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
     try:
         return build(obj)
     except KeyError as e:
         raise InputError(f"{path}: missing field {e}") from None
+    except (TypeError, AttributeError, IndexError):  # e.g. a list for an object
+        kind = getattr(build, "func", build).__qualname__.split(".")[0]
+        raise InputError(f"{path}: wrong JSON shape for {kind}") from None
     except Exception as e:  # anything the loader rejects
         raise InputError(f"{path}: {str(e) or type(e).__name__}") from None
 
@@ -53,7 +62,7 @@ def cmd_cohomology(args) -> int:
     x = _load(args.space, DeltaComplex.from_json_dict)
     system = None
     if args.local_system:
-        system = _load(args.local_system, lambda obj: LocalSystem.from_json_dict(x, obj))
+        system = _load(args.local_system, partial(LocalSystem.from_json_dict, x))
     groups = [g.group for g in cohomology(x, system)]
     _print_groups("H^*", groups)
     return 0
@@ -77,7 +86,10 @@ def cmd_tdual(args) -> int:
 def cmd_verify(args) -> int:
     p = _load(args.pair, FluxPair.from_json_dict)
     q = _load(args.other, FluxPair.from_json_dict)
-    report = verify_tduality(p, q)
+    try:
+        report = verify_tduality(p, q)
+    except BaseMismatch as e:
+        raise InputError(f"{args.other}: {e}") from None
     print(report)
     return 0 if report.ok else 1
 
@@ -120,8 +132,6 @@ def cmd_tables(args) -> int:
 
 
 def cmd_courant_check(args) -> int:
-    from .courant import EquivariantContext, run_context_checks
-
     ctx = _load(args.context, EquivariantContext.from_json_dict)
     report = run_context_checks(ctx, sections=args.sections, seed=args.seed)
     print(report)
@@ -132,8 +142,6 @@ def cmd_fixtures(args) -> int:
     if not args.all and not args.only:
         print("error: pass --all (or --only sigma|crosscap|klein)", file=sys.stderr)
         return 2
-    from .fixtures import all_fixtures
-
     fixtures = list(all_fixtures())
     if args.only:
         fixtures = [f for f in fixtures if f.space == args.only]

@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .fourier import Form, FourierScalar, VectorField, form_primitive
+from .fourier import Form, FourierScalar, VectorField, form_primitive, lie_derivative
 
 Rat = Fraction
 
@@ -189,11 +190,10 @@ def project_section(s: GeneralizedSection, ctx: EquivariantContext) -> Generaliz
 # ---------------------------------------------------------------------------
 
 def dorfman(s1: GeneralizedSection, s2: GeneralizedSection,
-            ctx: EquivariantContext, hat: bool = False) -> GeneralizedSection:
-    """[ (X, l), (Y, m) ]_H = ([X, Y], L_X m - i_Y d l + i_Y i_X H)."""
-    from .fourier import lie_derivative
-
-    h = ctx.dual().flux_h() if hat else ctx.flux_h()
+            ctx: EquivariantContext) -> GeneralizedSection:
+    """[ (X, l), (Y, m) ]_H = ([X, Y], L_X m - i_Y d l + i_Y i_X H), with H
+    the flux of ``ctx``; pass ``ctx.dual()`` for the dual side's bracket."""
+    h = ctx.flux_h()
     x, lam = s1.vec, s1.form
     y, mu = s2.vec, s2.form
     form = lie_derivative(x, mu) - lam.d().interior(y) + h.interior(x).interior(y)
@@ -225,7 +225,7 @@ def anchor_d(f: FourierScalar, cover_dim: int) -> GeneralizedSection:
 
 
 def derived_bracket_check(s1: GeneralizedSection, s2: GeneralizedSection,
-                          w: Form, ctx: EquivariantContext, hat: bool = False) -> bool:
+                          w: Form, ctx: EquivariantContext) -> bool:
     """The bracket acts as the graded double commutator of a twisted
     differential with the Clifford actions:
 
@@ -235,8 +235,8 @@ def derived_bracket_check(s1: GeneralizedSection, s2: GeneralizedSection,
     of odd operators, the outer one an ordinary commutator; the flux enters
     D with the sign opposite to the one in the bracket formula (wedging by
     H anticommutes past the degree-one Clifford factors)."""
-    h = ctx.dual().flux_h() if hat else ctx.flux_h()
-    lhs = clifford(dorfman(s1, s2, ctx, hat), w)
+    h = ctx.flux_h()
+    lhs = clifford(dorfman(s1, s2, ctx), w)
     dh = lambda u: u.d() - h.wedge(u)
     rhs = (dh(clifford(s1, clifford(s2, w)))
            + clifford(s1, dh(clifford(s2, w)))
@@ -310,7 +310,7 @@ def check_phi_intertwines(s1: GeneralizedSection, s2: GeneralizedSection,
     """bracket_swap([s1, s2]_H) = [bracket_swap(s1), bracket_swap(s2)]_Hhat,
     exactly."""
     lhs = bracket_swap(dorfman(s1, s2, ctx), ctx)
-    rhs = dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx), ctx, hat=True)
+    rhs = dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx), ctx.dual())
     return (lhs - rhs).is_zero()
 
 
@@ -343,8 +343,6 @@ def random_scalar(rng: random.Random, base_dim: int, max_freq: int = 1,
 
 def random_form(rng: random.Random, ctx: EquivariantContext, degree: int,
                 invariant: bool = True) -> Form:
-    from itertools import combinations
-
     cd = ctx.cover_dim
     acc = {}
     for key in combinations(range(cd), degree):

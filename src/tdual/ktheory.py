@@ -13,10 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import gcd
 from typing import Union
 
 from .bundles import BundleDescriptor, TotalCochain, TotalComplex
-from .complexes import LocalSystem, System, coboundary_matrix, is_coboundary
+from .complexes import (
+    LocalSystem,
+    System,
+    TwistedCochain,
+    coboundary_matrix,
+    cup,
+    is_coboundary,
+)
 from .exactalg import (
     FGAbelianGroup,
     IntMatrix,
@@ -24,6 +32,7 @@ from .exactalg import (
     PresentedGroup,
     element_order,
     normal_form,
+    solve_integer,
     solve_mod,
 )
 from .tduality import FluxPair
@@ -78,14 +87,10 @@ class TwistClass:
         if any(v % 2 for v in d0.mul_vec(self.w_fiber)):
             raise ValueError("fiber component of the twist is not mod-2 closed")
         d1 = coboundary_matrix(m, 1, None)
-        from .complexes import cup, TwistedCochain
-        ev = cup(self.bundle.euler_cochain(),
-                 TwistedCochain(m, 0, self.w_fiber, None)) if m.dimension >= 2 else None
+        ev = cup(self.bundle.euler_cochain(), TwistedCochain(m, 0, self.w_fiber, None))
         dw = d1.mul_vec(self.w_base)
-        for i in range(m.count(2)):
-            corr = ev.values[i] if ev is not None else 0
-            if (dw[i] + corr) % 2:
-                raise ValueError("degree-1 twist is not mod-2 closed in the total model")
+        if any((a + b) % 2 for a, b in zip(dw, ev.values)):
+            raise ValueError("degree-1 twist is not mod-2 closed in the total model")
         if not TotalComplex(self.bundle).is_cocycle(self.flux_cochain()):
             raise ValueError("degree-3 twist is not closed in the total model")
 
@@ -130,8 +135,6 @@ def twist_inverse(t: TwistClass) -> TwistClass:
 
 def _total_cup_mod2(t1: TwistClass, t2: TwistClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """w1 cup w2 as a mod-2 2-cochain pair on the total model."""
-    from .complexes import TwistedCochain, cup
-
     m = t1.bundle.base
     a1 = TwistedCochain(m, 1, t1.w_base, None, 2)
     a2 = TwistedCochain(m, 1, t2.w_base, None, 2)
@@ -175,7 +178,6 @@ def same_twist_class(t1: TwistClass, t2: TwistClass) -> bool:
         return False
     diff = t1.flux_cochain() - t2.flux_cochain()
     try:
-        from .exactalg import solve_integer
         solve_integer(model.delta_matrix(2), diff.vector())
         return True
     except NoSolution:
@@ -224,7 +226,6 @@ def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup,
         for _ in range(rs):
             per_gen.append(d)
         for e in ts:
-            from math import gcd
             per_gen.append(gcd(d, e))
         ranges.append(per_gen)
     total = 1
@@ -317,7 +318,6 @@ def ahss_k_groups(t: TwistClass) -> KGroups:
 
 
 def _mod2_cochain(m, k, values):
-    from .complexes import TwistedCochain
     return TwistedCochain(m, k, tuple(v % 2 for v in values), None, 2)
 
 

@@ -1,13 +1,14 @@
-"""Constructive T-duality for circle bundles with flux.
+"""Constructive T-duality for circle bundles with flux over surfaces.
 
 A flux pair carries a degree-3 class on the total space in invariant form:
 a base 3-cochain together with a xi-twisted 2-cochain (the push-forward
-part).  The dual is produced by exchanging the Euler cocycle with the
-push-forward flux and repairing the base part by integer linear solves on
-the correspondence complex.  That is the mapping cone (``complexes.cone``)
-of the cup with the pulled-back dual Euler cocycle between two total-space
-models of E, pi^*(ehat) ^ : C^*(E, xi) -> C^{*+2}(E), which acts as
-(gamma, rho) |-> (ehat ^ gamma, ehat ^ rho):
+part).  Flux pairs live over bases of dimension <= 2, which carry no
+3-cochains, so the flux is its push-forward part.  The dual exchanges the
+Euler cocycle with the push-forward flux, and one integer solve on the
+correspondence complex certifies it.  That complex is the mapping cone
+(``complexes.cone``) of the cup with the pulled-back dual Euler cocycle
+between two total-space models of E, pi^*(ehat) ^ : C^*(E, xi) ->
+C^{*+2}(E), which acts as (gamma, rho) |-> (ehat ^ gamma, ehat ^ rho):
 
     C^k(F) = C^k(E) (+) C^{k-1}(E, xi)
            = C^k(M) (+) C^{k-1}(M,xi) (+) C^{k-1}(M,xi) (+) C^{k-2}(M).
@@ -16,8 +17,9 @@ The cup with ehat commutes with the differential of E's model only up to
 the commutator of the two Euler cocycles: the rho -> alpha entry of
 delta^2 is (ehat ^ e - e ^ ehat) ^ rho, a cochain of degree >= 4 on M.  It
 vanishes when the base has dimension <= 3, which the model therefore
-requires.  Every step returns exact integer certificates; nothing is
-checked only up to cohomology unless the statement itself is cohomological.
+requires of its callers.  Every step returns exact integer certificates;
+nothing is checked only up to cohomology unless the statement itself is
+cohomological.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .bundles import (
 from .complexes import (
     BaseMismatch,
     TwistedCochain,
-    coboundary_matrix,
     cohomology,
     cone,
     cup,
@@ -45,15 +46,7 @@ from .complexes import (
     is_same_z2_class,
     system_key,
 )
-from .exactalg import (
-    IntMatrix,
-    NoSolution,
-    block_matrix,
-    hstack,
-    rank_of,
-    solve_integer,
-    vstack,
-)
+from .exactalg import IntMatrix, NoSolution, block_matrix, hstack, rank_of, solve_integer
 
 
 class InternalObstruction(Exception):
@@ -67,7 +60,8 @@ class BundleMismatch(Exception):
 @dataclass(frozen=True)
 class FluxPair:
     """A bundle with an invariant representative of a degree-3 flux:
-    (base 3-cochain, xi-twisted 2-cochain)."""
+    (base 3-cochain, xi-twisted 2-cochain).  The base has dimension <= 2,
+    so the base 3-cochain ``h3`` is always empty."""
 
     bundle: BundleDescriptor
     h3: tuple[int, ...]
@@ -75,6 +69,8 @@ class FluxPair:
 
     def __post_init__(self) -> None:
         m = self.bundle.base
+        if m.dimension > 2:
+            raise ValueError(f"flux pairs need a base of dimension <= 2, not {m.dimension}")
         if len(self.h3) != m.count(3) or len(self.fhat) != m.count(2):
             raise ValueError("flux component lengths do not match the base")
         model = TotalComplex(self.bundle)
@@ -86,9 +82,6 @@ class FluxPair:
 
     def fhat_cochain(self) -> TwistedCochain:
         return TwistedCochain(self.bundle.base, 2, self.fhat, self.bundle.xi)
-
-    def h3_cochain(self) -> TwistedCochain:
-        return TwistedCochain(self.bundle.base, 3, self.h3, None)
 
     def to_json_dict(self) -> dict:
         return {"bundle": self.bundle.to_json_dict(),
@@ -185,12 +178,6 @@ class CorrespondenceComplex:
         k = x.degree
         return CorrCochain(k, x.alpha, (0,) * m.count(k - 1), x.beta, (0,) * m.count(k - 2))
 
-    def q_pull(self, a: TwistedCochain) -> CorrCochain:
-        m = self.base
-        k = a.degree
-        return CorrCochain(k, a.values, (0,) * m.count(k - 1),
-                           (0,) * m.count(k - 1), (0,) * m.count(k - 2))
-
     def p_push(self, x: CorrCochain) -> TotalCochain:
         """Integration over the fiber of E: lands on the dual bundle's
         xi-twisted total model (with the model's alternating sign)."""
@@ -223,74 +210,41 @@ def _corr_delta(e_bundle: BundleDescriptor, ehat_bundle: BundleDescriptor, k: in
 @dataclass(frozen=True)
 class Certificate:
     """Exact witness for the correspondence-space axiom:
-    p^*(h) - phat^*(h_dual) = delta(B) + q^*(a) with a closed."""
+    p^*(h) - phat^*(h_dual) = delta(B)."""
 
     b: CorrCochain
-    a: tuple[int, ...]
 
     def to_json_dict(self) -> dict:
         return {"B": {"alpha": list(self.b.alpha), "beta": list(self.b.beta),
-                      "gamma": list(self.b.gamma), "rho": list(self.b.rho)},
-                "a": list(self.a)}
+                      "gamma": list(self.b.gamma), "rho": list(self.b.rho)}}
 
 
 def construct_tdual(pair: FluxPair) -> tuple[FluxPair, Certificate]:
     """The T-dual pair and an exact certificate.
 
-    Steps: take the flux's push-forward cocycle as the dual Euler cocycle;
-    solve for a base correction making the exchanged flux closed on the
-    dual side; then solve on the correspondence complex for a 2-cochain B
-    and a closed base 3-cochain a absorbing the discrepancy.  The final
-    identity p^*(h) - phat^*(h_dual) = delta(B) holds exactly.
+    The flux's push-forward cocycle becomes the dual Euler cocycle and the
+    Euler cocycle the dual's push-forward flux; the dual's base part is
+    empty, as for every flux pair.  One solve on the correspondence complex
+    gives a 2-cochain B with p^*(h) - phat^*(h_dual) = delta(B) exactly.
     """
     bundle = pair.bundle
-    base = bundle.base
-    xi = bundle.xi
-    ehat_values = pair.fhat
-    ehat_bundle = BundleDescriptor(base, xi, ehat_values)
-
-    # dual-side closedness: delta(h3') = ehat cup e in C^4(M)
-    rhs = cup(ehat_bundle.euler_cochain(), bundle.euler_cochain())
-    try:
-        h3p = solve_integer(coboundary_matrix(base, 3, None), rhs.values)
-    except NoSolution as exc:
-        raise InternalObstruction("no primitive for ehat cup e") from exc
+    ehat_bundle = BundleDescriptor(bundle.base, bundle.xi, pair.fhat)
+    dual = FluxPair(ehat_bundle, (), bundle.euler)
 
     corr = CorrespondenceComplex(bundle, ehat_bundle)
-    d_flux = corr.p_pull(pair.total_cochain()) - corr.phat_pull(
-        TotalCochain(ehat_bundle, 3, h3p, bundle.euler, None))
+    d_flux = corr.p_pull(pair.total_cochain()) - corr.phat_pull(dual.total_cochain())
     if not corr.coboundary(d_flux).is_zero():
         raise InternalObstruction("discrepancy cochain is not closed")
-
-    # solve  delta_F(B) + q^*(a) = D  with  delta(a) = 0
-    m = base
-    d_f = corr.delta_matrix(2)
-    n_b = d_f.cols
-    n_a = m.count(3)
-    inc = vstack([
-        IntMatrix.identity(n_a) if n_a else IntMatrix.zeros(0, 0),
-        IntMatrix.zeros(corr.count(3) - n_a, n_a),
-    ])
-    top = hstack([d_f, inc])
-    bottom = hstack([IntMatrix.zeros(coboundary_matrix(m, 3, None).rows, n_b),
-                     coboundary_matrix(m, 3, None)])
-    big = vstack([top, bottom])
-    rhs_vec = d_flux.vector() + (0,) * coboundary_matrix(m, 3, None).rows
     try:
-        sol = solve_integer(big, rhs_vec)
+        sol = solve_integer(corr.delta_matrix(2), d_flux.vector())
     except NoSolution as exc:
         raise InternalObstruction("correspondence solve failed") from exc
-    b_cochain = corr.from_vector(2, sol[:n_b])
-    a = tuple(sol[n_b:])
-
-    dual_h3 = tuple(x + y for x, y in zip(h3p, a))
-    dual = FluxPair(ehat_bundle, dual_h3, bundle.euler)
+    b_cochain = corr.from_vector(2, sol)
 
     # final exact recheck
-    lhs = corr.p_pull(pair.total_cochain()) - corr.phat_pull(dual.total_cochain())
-    if not (lhs - corr.coboundary(b_cochain)).is_zero():
+    if not (d_flux - corr.coboundary(b_cochain)).is_zero():
         raise InternalObstruction("certificate recheck failed")
-    return dual, Certificate(b_cochain, a)
+    return dual, Certificate(b_cochain)
 
 
 @dataclass(frozen=True)
@@ -340,9 +294,8 @@ def verify_tduality(pair: FluxPair, cand: FluxPair) -> TDualityReport:
 
     ehat_aligned = BundleDescriptor(
         base, xi, align_xi_cochain(cand.bundle.euler_cochain(), xi).values)
-    cand_h3 = cand.h3
     cand_fhat_aligned = align_xi_cochain(cand.fhat_cochain(), xi).values
-    cand_aligned = FluxPair(ehat_aligned, cand_h3, cand_fhat_aligned)
+    cand_aligned = FluxPair(ehat_aligned, cand.h3, cand_fhat_aligned)
     corr = CorrespondenceComplex(pair.bundle, ehat_aligned)
     diff = corr.p_pull(pair.total_cochain()) - corr.phat_pull(cand_aligned.total_cochain())
     try:
@@ -394,7 +347,7 @@ def duals_equivalent(q1: FluxPair, q2: FluxPair) -> tuple[bool, Optional[Twisted
 class SmallTwistedComplex:
     """Z/2-graded rational model: rational cohomology of the base in the
     untwisted and xi-twisted flavors, with the differential built from the
-    classes of the base 3-flux, the Euler class, and the push-forward flux.
+    Euler class and the push-forward flux (a flux pair has no base 3-flux).
 
     This is a formal model: the differential acts through cup products of
     cohomology classes; higher corrections are not included.
@@ -424,7 +377,6 @@ class SmallTwistedComplex:
         self._a_src, self._b_src = a_src, b_src
         self._a_sys, self._b_sys = a_sys, b_sys
         self._base = base
-        self._h3 = pair.h3_cochain()
         self._e = bundle.euler_cochain()
         self._fhat = pair.fhat_cochain()
         self.d_matrix = self._build_matrix()
@@ -458,20 +410,14 @@ class SmallTwistedComplex:
             col = [0] * n
             if part == "a":
                 a = TwistedCochain(base, k, rep, self._a_sys)
-                img_a = cup(self._h3, a)
                 img_b = cup(self._fhat, a)
-                for i, v in self._free_coords(self._a_src, k + 3, "a", img_a.values).items():
-                    col[i] += v
                 for i, v in self._free_coords(self._b_src, k + 2, "b", img_b.values).items():
                     col[i] += v
             else:
                 b = TwistedCochain(base, k, rep, self._b_sys)
                 img_a = cup(self._e, b)
-                img_b = cup(self._h3, b)
                 for i, v in self._free_coords(self._a_src, k + 2, "a", img_a.values).items():
                     col[i] += v
-                for i, v in self._free_coords(self._b_src, k + 3, "b", img_b.values).items():
-                    col[i] -= v
             cols.append(col)
         return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)],
                                    cols=n)

@@ -260,7 +260,7 @@ def test_bracket_swap_scaling_compatibility():
     s1, s2 = random_section(rng, ctx), random_section(rng, ctx)
     f = FourierScalar.cos_wave((2, 0)) + FourierScalar.const(2, 1)
     lhs = bracket_swap(dorfman(s1, s2.scale(f), ctx), ctx)
-    rhs = dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx).scale(f), ctx, hat=True)
+    rhs = dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx).scale(f), ctx.dual())
     assert (lhs - rhs).is_zero()
 
 

@@ -1,7 +1,8 @@
-"""Every name a ``tdual`` module imports at module level is used there.
+"""Every name a ``tdual`` module imports at module level is used there,
+and no ``tdual`` function imports anything.
 
-The package ``__init__`` is skipped: its imports are the public
-re-exports.
+The package ``__init__`` is skipped by the unused-import check: its
+imports are the public re-exports.
 """
 
 import ast
@@ -46,3 +47,13 @@ def test_allowlist_entries_are_still_imported_and_unused():
     for module, name in ALLOWED:
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in unused_imports(tree), (module, name)
+
+
+def test_no_imports_inside_functions():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.stem}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, "imports inside functions: " + ", ".join(sorted(set(found)))
