@@ -40,6 +40,7 @@ from .complexes import (
     cup_matrix_left,
     duality_report,
     is_same_z2_class,
+    json_int,
     system_key,
     tensor,
     z2_rescaling,
@@ -89,7 +90,7 @@ class BundleDescriptor:
     def from_json_dict(obj: dict) -> "BundleDescriptor":
         base = DeltaComplex.from_json_dict(obj["base"])
         xi = LocalSystem.from_json_dict(base, obj["xi"])
-        return BundleDescriptor(base, xi, tuple(int(v) for v in obj["euler"]["values"]))
+        return BundleDescriptor(base, xi, tuple(json_int(v, "euler") for v in obj["euler"]["values"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -156,10 +157,6 @@ class TotalComplex:
 
     def delta_matrix(self, k: int) -> IntMatrix:
         return self.chain.delta(k)
-
-    def zero(self, k: int) -> TotalCochain:
-        m = self.base
-        return TotalCochain(self.bundle, k, (0,) * m.count(k), (0,) * m.count(k - 1), self.zeta)
 
     def cochain(self, k: int, alpha: Sequence[int], beta: Sequence[int]) -> TotalCochain:
         return TotalCochain(self.bundle, k, tuple(alpha), tuple(beta), self.zeta)

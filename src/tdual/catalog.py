@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .bundles import BundleDescriptor
@@ -253,24 +252,19 @@ class SpaceInfo:
         return _solve_sign_system(self.complex, self.label_edges, chosen)
 
     def orientation_system(self) -> System:
-        """The orientation character: the unique label character whose sign
-        system makes the twisted top cohomology infinite cyclic.  The
-        equal-exponent heuristic is tried first, then all characters."""
+        """The orientation character: the sign system that is -1 exactly
+        around the orientation-reversing loops (None when there are none).
+        Raises ValueError unless it makes the twisted top cohomology
+        infinite cyclic."""
         if self.complex.dimension < 2:
             return None
-        names = [name for name, _ in self.label_edges]
-        candidates = [self.reversing_labels]
-        for r in range(len(names) + 1):
-            for combo in combinations(names, r):
-                fs = frozenset(combo)
-                if fs != self.reversing_labels:
-                    candidates.append(fs)
-        for cand in candidates:
-            ls = None if not cand else _solve_sign_system(self.complex, self.label_edges, cand)
-            top = cohomology(self.complex, ls)[self.complex.dimension].group
-            if top.free_rank == 1 and not top.torsion:
-                return ls
-        raise ValueError("no orientation character found; not a closed surface?")
+        ls = (_solve_sign_system(self.complex, self.label_edges, self.reversing_labels)
+              if self.reversing_labels else None)
+        top = cohomology(self.complex, ls)[self.complex.dimension].group
+        if top != FGAbelianGroup(1):
+            raise ValueError("the orientation character does not give top cohomology Z; "
+                             "not a closed surface?")
+        return ls
 
     def trivial_xi(self) -> LocalSystem:
         return LocalSystem(self.complex, (1,) * self.complex.count(1))

@@ -153,12 +153,6 @@ class DeltaComplex:
                 end -= 1
         return cur
 
-    def edge_index(self, tail: int, head: int) -> int:
-        idx = self._index_tables[0].get((tail, head))
-        if idx is None:
-            raise KeyError(f"no edge ({tail}, {head})")
-        return idx
-
     def euler_characteristic(self) -> int:
         chi = self.vertex_count
         for d in range(1, self.dimension + 1):
@@ -179,9 +173,10 @@ class DeltaComplex:
         dims = sorted(int(k) for k in obj.get("simplices", {}))
         if dims and dims != list(range(1, dims[-1] + 1)):
             raise ValueError("simplex dimensions must be contiguous from 1")
-        levels = tuple(tuple(tuple(int(v) for v in t) for t in obj["simplices"][str(d)])
+        levels = tuple(tuple(tuple(json_int(v, "simplices") for v in t)
+                             for t in obj["simplices"][str(d)])
                        for d in dims)
-        return DeltaComplex(int(obj["vertices"]), levels)
+        return DeltaComplex(json_int(obj["vertices"], "vertices"), levels)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -189,6 +184,14 @@ class DeltaComplex:
     @staticmethod
     def from_json(s: str) -> "DeltaComplex":
         return DeltaComplex.from_json_dict(json.loads(s))
+
+
+def json_int(v, name: str) -> int:
+    """``v`` if it is a JSON integer; ValueError naming the field ``name``
+    otherwise (a float or a boolean is not an integer here)."""
+    if type(v) is not int:
+        raise ValueError(f"{name}: expected an integer, not {json.dumps(v)}")
+    return v
 
 
 def validate_complex(x: DeltaComplex) -> bool:
@@ -231,7 +234,7 @@ class LocalSystem:
 
     @staticmethod
     def from_json_dict(base: DeltaComplex, obj: dict) -> "LocalSystem":
-        return LocalSystem(base, tuple(int(s) for s in obj["edge_signs"]))
+        return LocalSystem(base, tuple(json_int(s, "edge_signs") for s in obj["edge_signs"]))
 
 
 System = Optional[LocalSystem]
@@ -364,11 +367,6 @@ class TwistedCochain:
             raise BaseMismatch("coefficient rings differ")
         if system_key(self.system) != system_key(other.system):
             raise BaseMismatch("local systems differ")
-
-
-def zero_cochain(x: DeltaComplex, k: int, system: System = None,
-                 modulus: Optional[int] = None) -> TwistedCochain:
-    return TwistedCochain(x, k, (0,) * x.count(k), system, modulus)
 
 
 def coboundary(c: TwistedCochain) -> TwistedCochain:

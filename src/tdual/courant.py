@@ -103,9 +103,6 @@ class EquivariantContext:
     def is_invariant(self, w: Form) -> bool:
         return (self.pullback_form(w) - w).is_zero()
 
-    def is_anti_invariant(self, w: Form) -> bool:
-        return (self.pullback_form(w) + w).is_zero()
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:

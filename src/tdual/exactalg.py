@@ -86,7 +86,8 @@ class IntMatrix:
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
+        nz = [(j, x) for j, x in enumerate(v) if x]  # the work follows the nonzeros of v
+        return tuple(sum([row[j] * x for j, x in nz]) for row in self.data)
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(self.data[i][j] for i in range(self.rows))
@@ -322,15 +323,16 @@ class _Smith:
         m = self.shape[0]
         return IntMatrix(m, m, tuple(zip(*self._L)))
 
+    def left(self, b: Sequence[int]) -> list[int]:
+        """L b."""
+        return _combine(b, self._L, self.shape[0])
+
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
         """One integer solution of A x = b, free parameters set to zero."""
         m, n = self.shape
         if len(b) != m:
             raise ValueError("rhs length mismatch")
-        c = [0] * m  # L b, summed over the nonzeros of b
-        for col, bk in zip(self._L, b):
-            if bk:
-                c = [ci + bk * li for ci, li in zip(c, col)]
+        c = self.left(b)
         diag = self.diag
         x = [0] * n  # R y, summed over the nonzeros of y
         for i, d in enumerate(diag):
@@ -352,6 +354,15 @@ class _Smith:
         """Basis of the integer kernel lattice of A."""
         diag = self.diag
         return [col for j, col in enumerate(self._R) if j >= len(diag) or diag[j] == 0]
+
+
+def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The sum of c * v over the pairs with c nonzero, each v cut to length n."""
+    out = [0] * n
+    for c, v in zip(coeffs, vectors):
+        if c:
+            out = [x + c * y for x, y in zip(out, v)]
+    return out
 
 
 def _identity_rows(n: int) -> list[list[int]]:
@@ -501,10 +512,11 @@ def normal_form(g: PresentedGroup) -> FGAbelianGroup:
 class GroupData:
     """A subquotient ker(d_out)/im(d_in) with explicit generators.
 
-    ``representatives`` are cycles in the middle term, ordered to match the
-    coordinates used by ``class_of``: free generators first, then torsion
-    generators in invariant-factor order.  ``class_of`` maps any cycle to
-    its coordinate tuple, reducing torsion coordinates into [0, d).
+    ``representatives`` are cycles in the middle term, read off adapted
+    bases (the Smith forms of the two maps; see ``homology_at``): free
+    generators first, then torsion generators in invariant-factor order.
+    ``class_of`` maps any cycle to its coordinates in that order, reducing
+    torsion coordinates into [0, d), and raises ValueError on a non-cycle.
     """
 
     group: FGAbelianGroup
@@ -517,88 +529,88 @@ class GroupData:
         return self.class_of(cycle)
 
 
-def _subquotient(kernel_cols: list[tuple[int, ...]], n_mid: int,
-                 image_cols: list[tuple[int, ...]]) -> GroupData:
-    """ker/im where ``kernel_cols`` spans a saturated sublattice of Z^n_mid
-    containing every column of ``image_cols``."""
-    k = len(kernel_cols)
-    kmat = IntMatrix.from_rows([[kernel_cols[j][i] for j in range(k)] for i in range(n_mid)],
-                               cols=k)
-    ksmith = _Smith(kmat)
-    rel_rows = []
-    for colv in image_cols:
-        rel_rows.append(ksmith.solve(colv))  # coordinates of the column in the kernel basis
-    relmat = IntMatrix.from_rows([list(r) for r in rel_rows], cols=k)
-    # relations act on Z^k; columns of relmat^T span the image
-    msmith = _Smith(relmat.transpose(), full=True)
-    diag = msmith.diag
-    torsion_pos = [i for i in range(len(diag)) if diag[i] > 1]
-    free_pos = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
-    order = free_pos + torsion_pos
-    torsion = tuple(diag[i] for i in torsion_pos)
-    group = FGAbelianGroup(len(free_pos), torsion)
-
-    u = msmith.u_matrix()         # k x k; columns are the adapted basis
-    l = msmith.l_matrix()         # u^{-1}
-    reps = []
-    for pos in order:
-        vec = [0] * n_mid
-        for kcol, g in zip(kernel_cols, u.col(pos)):
-            if g:
-                vec = [x + g * y for x, y in zip(vec, kcol)]
-        reps.append(tuple(vec))
-
-    moduli = [0] * len(free_pos) + list(torsion)
-
-    def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
-        if len(cycle) != n_mid:
-            raise ValueError("cycle has wrong length")
-        try:
-            y = ksmith.solve(tuple(cycle))
-        except NoSolution as exc:
-            raise ValueError("not a cycle") from exc
-        z = [sum(l.data[i][j] * y[j] for j in range(k)) for i in range(k)]
-        out = []
-        for pos, m in zip(order, moduli):
-            out.append(z[pos] % m if m else z[pos])
-        return tuple(out)
-
-    return GroupData(group, tuple(reps), class_of)
-
-
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     """ker(d_out)/im(d_in) with generators and a class_of map.
 
     ``d_in``: C_in -> C_mid and ``d_out``: C_mid -> C_out; requires
-    d_out . d_in = 0.
+    d_out . d_in = 0.  The group is read off the cached Smith forms of the
+    two maps in adapted bases (Kaczynski, Mischaikow, Mrozek,
+    *Computational Homology*, ch. 3):
+
+    - With L d_in R = D of rank r, the columns u_i = d_in R e_i / d_i
+      (i < r) of L^-1 span the saturation of im(d_in), and the d_i u_i
+      span im(d_in).  The torsion generators are the u_i with d_i > 1;
+      the coordinates of x are (L x)_i mod d_i.
+    - ker(d_out) holds every u_i, so in the coordinates y = L x it is
+      Z^r (+) the column lattice of N = (L K)[r:], K a kernel basis of
+      d_out.  That lattice is saturated, so the Smith form L_N N R_N has a
+      unit diagonal of length f, the Betti number.  The free generators
+      are the K R_N e_l (l < f) less their torsion components, with
+      coordinates (L_N y[r:])[:f].
     """
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
     if not d_out.mul(d_in).is_zero():
         raise CompositionNotZero("d_out . d_in != 0")
     n_mid = d_in.rows
-    kernel = kernel_basis(d_out)
-    image = [d_in.col(j) for j in range(d_in.cols)]
-    return _subquotient(kernel, n_mid, image)
+    s_in = _smith_cached(d_in)
+    r = s_in.rank
+    tors = [(i, d) for i, d in enumerate(s_in.diag[:r]) if d > 1]
+    units = [tuple(v // d for v in d_in.mul_vec(s_in._R[i])) for i, d in tors]
+    kernel = _smith_cached(d_out).kernel_columns()
+    l_kernel = [s_in.left(v) for v in kernel]
+    s_free = _Smith(IntMatrix(n_mid - r, len(kernel),
+                              tuple(tuple(lk[i] for lk in l_kernel) for i in range(r, n_mid))))
+    f = s_free.rank
+    reps = []
+    for col in s_free._R[:f]:
+        rep, l_rep = _combine(col, kernel, n_mid), _combine(col, l_kernel, r)
+        reps.append(tuple(_combine([1] + [-l_rep[i] for i, _ in tors], [rep] + units, n_mid)))
+
+    def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
+        if len(cycle) != n_mid:
+            raise ValueError("cycle has wrong length")
+        if any(d_out.mul_vec(cycle)):
+            raise ValueError("not a cycle")
+        y = s_in.left(cycle)
+        return tuple(s_free.left(y[r:])[:f]) + tuple(y[i] % d for i, d in tors)
+
+    group = FGAbelianGroup(f, tuple(d for _, d in tors))
+    return GroupData(group, tuple(reps) + tuple(units), class_of)
 
 
 def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
-    """Homology of the complex reduced mod m, via integer lattices."""
+    """Homology of the complex reduced mod m: ``homology_at`` on the
+    integer cone of multiplication by m,
+
+        d_in' = [[d_in, m I], [d_out d_in / m, d_out]],  d_out' = [d_out | -m I],
+
+    whose middle term C_mid (+) C_out holds the cycle x mod m as
+    (x, d_out x / m).  The generators are the first n_mid entries of the
+    cone's generators; ``class_of`` takes any integer x with
+    d_out x = 0 (mod m).
+    """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
-    if not d_out.mul(d_in).mod(m).is_zero():
+    dd = d_out.mul(d_in)
+    if not dd.mod(m).is_zero():
         raise CompositionNotZero("d_out . d_in != 0 (mod m)")
-    n_mid = d_in.rows
-    n_out = d_out.rows
-    # x with d_out x = 0 (mod m): project the kernel of [d_out | m*I]
-    stacked = hstack([d_out, IntMatrix.identity(n_out).scale(m)]) if n_out else IntMatrix.zeros(0, n_mid)
-    kernel = [v[:n_mid] for v in kernel_basis(stacked)] if n_out else \
-             [tuple(1 if i == j else 0 for i in range(n_mid)) for j in range(n_mid)]
-    image = [d_in.col(j) for j in range(d_in.cols)]
-    image += [tuple(m if i == j else 0 for i in range(n_mid)) for j in range(n_mid)]
-    return _subquotient(kernel, n_mid, image)
+    n_mid, n_out = d_in.rows, d_out.rows
+    dd_m = IntMatrix(dd.rows, dd.cols, tuple(tuple(v // m for v in row) for row in dd.data))
+    cone = homology_at(block_matrix([[d_in, IntMatrix.identity(n_mid).scale(m)], [dd_m, d_out]]),
+                       hstack([d_out, IntMatrix.identity(n_out).scale(-m)]))
+
+    def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
+        if len(cycle) != n_mid:
+            raise ValueError("cycle has wrong length")
+        image = d_out.mul_vec(cycle)
+        if any(v % m for v in image):
+            raise ValueError("not a cycle")
+        return cone.class_of(tuple(cycle) + tuple(v // m for v in image))
+
+    return GroupData(cone.group, tuple(rep[:n_mid] for rep in cone.representatives), class_of)
 
 
 def rank_of(a: IntMatrix) -> int:

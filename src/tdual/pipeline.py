@@ -10,7 +10,6 @@ from typing import Optional
 from .bundles import total_cohomology, total_duality_report, total_homology, same_bundle
 from .catalog import SpaceInfo, build_bundle, build_flux, space
 from .complexes import cohomology
-from .exactalg import FGAbelianGroup, IntMatrix, PresentedGroup, normal_form
 from .fixtures import (
     Fixture,
     all_fixtures,
@@ -106,13 +105,6 @@ def run_fixtures(fixtures=None) -> list[FixtureResult]:
         got = compute_fixture(fx)
         out.append(FixtureResult(fx, got, got == fx.expected))
     return out
-
-
-def abelianized_pi1(n: int, j: int) -> FGAbelianGroup:
-    """Independent oracle: abelianization of the fundamental-group
-    presentation <a_1..a_n, x | 2(a_1+...+a_n) = j x, 2x = 0>."""
-    rel = IntMatrix.from_rows([[2] * n + [-j], [0] * n + [2]], cols=n + 1)
-    return normal_form(PresentedGroup(n + 1, rel))
 
 
 # ---------------------------------------------------------------------------

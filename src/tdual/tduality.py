@@ -44,6 +44,7 @@ from .complexes import (
     cup,
     cup_matrix_left,
     is_same_z2_class,
+    json_int,
     system_key,
 )
 from .exactalg import IntMatrix, NoSolution, block_matrix, hstack, rank_of, solve_integer
@@ -90,8 +91,8 @@ class FluxPair:
     @staticmethod
     def from_json_dict(obj: dict) -> "FluxPair":
         bundle = BundleDescriptor.from_json_dict(obj["bundle"])
-        return FluxPair(bundle, tuple(int(v) for v in obj["H3"]),
-                        tuple(int(v) for v in obj["Fhat"]))
+        return FluxPair(bundle, tuple(json_int(v, "H3") for v in obj["H3"]),
+                        tuple(json_int(v, "Fhat") for v in obj["Fhat"]))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -148,11 +149,6 @@ class CorrespondenceComplex:
     def count(self, k: int) -> int:
         m = self.base
         return m.count(k) + 2 * m.count(k - 1) + m.count(k - 2)
-
-    def zero(self, k: int) -> CorrCochain:
-        m = self.base
-        return CorrCochain(k, (0,) * m.count(k), (0,) * m.count(k - 1),
-                           (0,) * m.count(k - 1), (0,) * m.count(k - 2))
 
     def from_vector(self, k: int, v: Sequence[int]) -> CorrCochain:
         m = self.base

@@ -213,3 +213,49 @@ def test_rejected_flux_pair_exits_2_and_failed_check_exits_1(tmp_path, capsys,
     b.write_text(build_flux(build_bundle(info, info.xi(), 0), 0).to_json())
     assert main(["verify", str(a), str(b)]) == 1
     assert capsys.readouterr().err == ""
+
+
+def sphere_pair():
+    """A flux pair over the boundary of a tetrahedron, as JSON."""
+    base = {"vertices": 4,
+            "simplices": {"1": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+                          "2": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}}
+    return {"bundle": {"base": base, "xi": {"edge_signs": [1] * 6},
+                       "euler": {"values": [0] * 4}},
+            "H3": [], "Fhat": [0, 1, 0, 0]}
+
+
+def test_loaders_reject_non_integers(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(sphere_pair()))
+    assert main(["tdual", str(path)]) == 0
+    capsys.readouterr()
+
+    def vertices(obj):
+        obj["bundle"]["base"]["vertices"] = 4.7
+
+    def fhat(obj):
+        obj["Fhat"][1] = 1.9
+
+    def edge_sign(obj):
+        obj["bundle"]["xi"]["edge_signs"][2] = True
+
+    def simplex(obj):
+        obj["bundle"]["base"]["simplices"]["1"][0][1] = 1.0
+
+    def euler(obj):
+        obj["bundle"]["euler"]["values"][0] = False
+
+    def all_three(obj):
+        vertices(obj), fhat(obj), edge_sign(obj)
+
+    for edit, reason in ((vertices, "vertices: expected an integer, not 4.7"),
+                         (fhat, "Fhat: expected an integer, not 1.9"),
+                         (edge_sign, "edge_signs: expected an integer, not true"),
+                         (simplex, "simplices: expected an integer, not 1.0"),
+                         (euler, "euler: expected an integer, not false"),
+                         (all_three, "expected an integer")):
+        obj = sphere_pair()
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        assert_input_error(capsys, ["tdual", str(path)], path, reason)

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from tdual.catalog import circle, crosscap_sum, klein_bottle, sigma, torus
+from tdual.catalog import circle, crosscap_sum, klein_bottle, sigma, space, torus
 from tdual.complexes import (
     DeltaComplex,
     InvalidLocalSystem,
@@ -164,6 +165,15 @@ def test_poincare_duality_surfaces():
             systems.append(("xi", info.xi() if info.default_xi else info.trivial_xi()))
         rep = poincare_duality_check(info.complex, orn, systems=systems)
         assert rep.ok, (info.name, str(rep))
+
+
+def test_orientation_system_is_the_reversing_character():
+    assert space("sigma", g=12).orientation_system() is None
+    for n in range(1, 5):
+        info = crosscap_sum(n)
+        assert info.orientation_system() == info.xi()
+    with pytest.raises(ValueError, match="orientation character"):
+        replace(crosscap_sum(1), reversing_labels=frozenset()).orientation_system()
 
 
 def test_poincare_duality_circle():
