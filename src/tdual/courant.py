@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .fourier import Form, FourierScalar, VectorField, form_primitive, lie_derivative
@@ -86,9 +87,19 @@ class EquivariantContext:
         return self.ahat.d()
 
     def flux_h(self) -> Form:
-        return self.h3 + self.connection().wedge(self.flux_fhat())
+        return self._flux_h
 
     def dual(self) -> "EquivariantContext":
+        return self._dual
+
+    # Built once per context: every bracket reads the flux, and the dual
+    # side's checks would otherwise re-validate a fresh mirror each time.
+    @cached_property
+    def _flux_h(self) -> Form:
+        return self.h3 + self.connection().wedge(self.flux_fhat())
+
+    @cached_property
+    def _dual(self) -> "EquivariantContext":
         return EquivariantContext(self.base_dim, self.deck_a, self.deck_two_b,
                                   self.ahat, self.a, self.h3)
 

@@ -49,7 +49,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(map(int, r)) for r in rows]
         if rows:
             ncols = len(rows[0])
         else:
@@ -64,24 +64,29 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
+        """The product; the work follows the nonzeros of both factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        zero = (0,) * other.cols
+        n = other.cols
+        other_nz = [list(zip(compress(range(n), row), filter(None, row))) for row in other.data]
+        inner = range(self.cols)
         out = []
         for row in self.data:
-            acc = zero
-            for a, orow in zip(row, other.data):
-                if a:
-                    acc = [x + a * y for x, y in zip(acc, orow)]
+            acc = [0] * n
+            for j in compress(inner, row):
+                a = row[j]
+                for k, y in other_nz[j]:
+                    acc[k] += a * y
             out.append(tuple(acc))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix(self.rows, n, tuple(out))
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -90,10 +95,10 @@ class IntMatrix:
         return tuple(sum([row[j] * x for j, x in nz]) for row in self.data)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(map(itemgetter(j), self.data))
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(map(any, self.data))
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
@@ -117,7 +122,7 @@ def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch in hstack")
-    data = tuple(tuple(x for b in blocks for x in b.data[i]) for i in range(rows))
+    data = tuple(sum(parts, ()) for parts in zip(*(b.data for b in blocks)))
     return IntMatrix(rows, sum(b.cols for b in blocks), data)
 
 
@@ -169,15 +174,18 @@ def determinant(a: IntMatrix) -> int:
 class _Smith:
     """Smith decomposition D = L * A * R.
 
-    ``A = Linv * D * Rinv`` with ``Linv``, ``Rinv`` unimodular; the inverse
-    transforms are only accumulated when ``full`` is set (solving and
-    kernels need just L and R).  Pivoting is deterministic: the nonzero
-    entry of minimal absolute value, ties broken by lowest (row, col).
+    ``A = Linv * D * Rinv`` with ``Linv``, ``Rinv`` unimodular.  Pivoting
+    is deterministic: the nonzero entry of minimal absolute value, ties
+    broken by lowest (row, col).
 
-    The elimination does work in proportion to the nonzeros it touches,
-    not to the size of the remaining block.  It relies on these
-    invariants, none of which changes the pivot rule or any output:
+    The elimination is sparse: it does work in proportion to the nonzeros
+    it touches, not to the size of the matrix or the remaining block.
 
+    - Rows of A and of L are dicts holding only their nonzeros, and
+      ``rows_of[j]`` is the set of rows with a nonzero in column j of A,
+      kept in step with every row operation.  A column swap touches only
+      the rows in the two sets, and the rows to clear below the pivot are
+      ``rows_of[t]``.
     - At step t, rows and columns with index below t are zero off the
       diagonal, so in rows >= t only columns >= t can be nonzero and whole
       rows can be scanned.  No entry is smaller than a +-1, so the pivot
@@ -186,25 +194,31 @@ class _Smith:
     - A unit pivot divides every entry, so the divisibility pass is
       vacuous and skipped.
     - Row t of A and L does not change while the rows below it are
-      cleared, so only its nonzero positions are added into them.
-    - Column t of A is zero off row t while row t is cleared, so a column
-      operation changes only ``A[t][j]`` in A, and in R only the positions
-      where column t of R is nonzero.
-    - L and R are kept column-major: R as a list of its columns during
-      elimination, L transposed when elimination ends, so that ``solve``
-      adds whole columns.  Only ``diag`` and these columns are kept; D and
-      L are rebuilt on demand.  ``Linv`` and ``Rinv`` stay row-major.
+      cleared.  Column t of A is zero off row t while row t is cleared, so
+      a column operation changes only ``A[t][j]`` in A and column j of R.
+    - R is kept as its columns and L is turned into its columns when
+      elimination ends, both as dicts of their nonzeros, so that ``left``,
+      ``solve`` and ``kernel_columns`` read only those.  Only ``diag`` and
+      these columns are kept; D and L are rebuilt on demand.
+    - Each row operation is also appended to a row log and each column
+      operation to a column log, as flat (i, j, c) integer triples (see
+      ``_replay``).  The first ``u_matrix`` or ``v_matrix`` call replays
+      its log into ``Linv`` or ``Rinv``, keeps that matrix and drops the
+      log, so ``smith_normal_form``, ``solve`` and ``kernel_columns`` on
+      one matrix share one factorization.  A factorization whose U and V
+      are never asked for keeps its logs.
     """
 
-    def __init__(self, a: IntMatrix, full: bool = False):
-        self.shape = (a.rows, a.cols)
-        self.full = full
-        m, n = a.rows, a.cols
-        A = [list(row) for row in a.data]
-        L = _identity_rows(m)
-        R = _identity_rows(n)  # R[j] is column j of R
-        Linv = _identity_rows(m) if full else None
-        Rinv = _identity_rows(n) if full else None
+    def __init__(self, a: IntMatrix):
+        self.shape = m, n = a.rows, a.cols
+        A = [dict(zip(compress(range(n), row), filter(None, row))) for row in a.data]
+        rows_of = [set() for _ in range(n)]
+        for i, row in enumerate(A):
+            for j in row:
+                rows_of[j].add(i)
+        L = [{i: 1} for i in range(m)]  # rows of L
+        R = [{j: 1} for j in range(n)]  # columns of R
+        row_log, col_log = [], []       # see _replay
 
         t = 0
         while t < min(m, n):
@@ -214,92 +228,82 @@ class _Smith:
                     break
                 bi, bj = found
                 if bi != t:
-                    A[t], A[bi] = A[bi], A[t]
+                    new_t, new_b = A[bi], A[t]
+                    for j in new_t.keys() - new_b.keys():
+                        rows_of[j].remove(bi)
+                        rows_of[j].add(t)
+                    for j in new_b.keys() - new_t.keys():
+                        rows_of[j].remove(t)
+                        rows_of[j].add(bi)
+                    A[t], A[bi] = new_t, new_b
                     L[t], L[bi] = L[bi], L[t]
-                    if full:
-                        for r in Linv:
-                            r[t], r[bi] = r[bi], r[t]
+                    row_log += (t, bi, 0)
                 if bj != t:
-                    for i in range(t, m):
-                        r = A[i]
-                        r[t], r[bj] = r[bj], r[t]
+                    ct, cb = rows_of[t], rows_of[bj]
+                    for i in ct | cb:
+                        row = A[i]
+                        vt, vb = row.pop(t, 0), row.pop(bj, 0)
+                        if vb:
+                            row[t] = vb
+                        if vt:
+                            row[bj] = vt
+                    rows_of[t], rows_of[bj] = cb, ct
                     R[t], R[bj] = R[bj], R[t]
-                    if full:
-                        Rinv[t], Rinv[bj] = Rinv[bj], Rinv[t]
+                    col_log += (t, bj, 0)
                 At = A[t]
                 if At[t] < 0:
-                    A[t] = At = [-x for x in At]
-                    L[t] = [-x for x in L[t]]
-                    if full:
-                        for r in Linv:
-                            r[t] = -r[t]
+                    A[t] = At = {k: -v for k, v in At.items()}
+                    L[t] = {k: -v for k, v in L[t].items()}
+                    row_log += (t, t, 0)
 
                 pivot = At[t]
                 Lt = L[t]
-                nz_a = list(compress(range(n), At))  # nonzero columns of row t
-                nz_l = list(compress(range(m), Lt))
-                col_clean = True  # over the rows below t with a nonzero in column t
-                for i in compress(range(t + 1, m), map(itemgetter(t), A[t + 1:])):
-                    Ai = A[i]
-                    q = Ai[t] // pivot
+                for i in [i for i in rows_of[t] if i != t]:
+                    q = A[i][t] // pivot
                     if q:  # row i -= q * row t
-                        for k in nz_a:
-                            Ai[k] -= q * At[k]
-                        Li = L[i]
-                        for k in nz_l:
-                            Li[k] -= q * Lt[k]
-                        if full:
-                            for r in Linv:
-                                r[t] += q * r[i]
-                    if Ai[t]:
-                        col_clean = False
-                if not col_clean:
+                        _add_row(A[i], -q, At, rows_of, i)
+                        _add_to(L[i], -q, Lt)
+                        row_log += (i, t, -q)
+                if len(rows_of[t]) > 1:
                     continue  # a smaller remainder appeared; re-pivot
                 Rt = R[t]
-                nz_r = list(compress(range(n), Rt))
-                row_clean = True
-                for j in compress(range(t + 1, n), At[t + 1:]):
-                    v = At[j]
-                    q = v // pivot
+                for j in [j for j in At if j != t]:
+                    q = At[j] // pivot
                     if q:  # col j -= q * col t
-                        At[j] = v = v - q * pivot
-                        Rj = R[j]
-                        for k in nz_r:
-                            Rj[k] -= q * Rt[k]
-                        if full:
-                            Vt, Vj = Rinv[t], Rinv[j]
-                            for k in range(n):
-                                Vt[k] += q * Vj[k]
-                    if v:
-                        row_clean = False
-                if not row_clean:
+                        v = At[j] - q * pivot
+                        if v:
+                            At[j] = v
+                        else:
+                            del At[j]
+                            rows_of[j].remove(t)
+                        _add_to(R[j], -q, Rt)
+                        col_log += (j, t, -q)
+                if len(At) > 1:
                     continue
                 if pivot == 1:
                     break
                 # pivot row/col clean: enforce divisibility over the rest
                 bad = next((i for i in range(t + 1, m)
-                            if any(x % pivot for x in filter(None, A[i]))), None)
+                            if any(x % pivot for x in A[i].values())), None)
                 if bad is None:
                     break
                 # row t += row bad
-                Ab, Lb = A[bad], L[bad]
-                for k in range(n):
-                    At[k] += Ab[k]
-                for k in range(m):
-                    Lt[k] += Lb[k]
-                if full:
-                    for r in Linv:
-                        r[bad] -= r[t]
+                _add_row(At, 1, A[bad], rows_of, t)
+                _add_to(Lt, 1, L[bad])
+                row_log += (t, bad, 1)
             if found is None:
                 break
             t += 1
 
-        self.diag = tuple(A[i][i] for i in range(min(m, n)))
+        self.diag = tuple(A[i].get(i, 0) for i in range(min(m, n)))
         self.rank = sum(1 for d in self.diag if d)
-        self._L = list(zip(*L))                 # column k of L
-        self._R = [tuple(col) for col in R]     # column k of R
-        self._Linv = Linv
-        self._Rinv = Rinv
+        self._L = [{} for _ in range(m)]  # column k of L
+        for i, row in enumerate(L):
+            for k, v in row.items():
+                self._L[k][i] = v
+        self._R = R                       # column k of R
+        self._u = row_log                 # replaced by Linv on first use
+        self._v = col_log                 # replaced by Rinv on first use
 
     def d_matrix(self) -> IntMatrix:
         m, n = self.shape
@@ -308,24 +312,35 @@ class _Smith:
                                      for i in range(m)))
 
     def u_matrix(self) -> IntMatrix:
-        if not self.full:
-            raise ValueError("inverse transforms were not tracked")
-        m = self.shape[0]
-        return IntMatrix(m, m, tuple(tuple(r) for r in self._Linv))
+        """Linv, with A = Linv * D * Rinv."""
+        # One read of the slot: two threads calling first may both replay
+        # the unchanged log, and both store the same matrix.
+        u = self._u
+        if isinstance(u, list):
+            m = self.shape[0]
+            u = self._u = IntMatrix(m, m, tuple(zip(*_replay(u, m))))
+        return u
 
     def v_matrix(self) -> IntMatrix:
-        if not self.full:
-            raise ValueError("inverse transforms were not tracked")
-        n = self.shape[1]
-        return IntMatrix(n, n, tuple(tuple(r) for r in self._Rinv))
+        """Rinv, with A = Linv * D * Rinv."""
+        v = self._v
+        if isinstance(v, list):
+            n = self.shape[1]
+            v = self._v = IntMatrix(n, n, tuple(map(tuple, _replay(v, n))))
+        return v
 
     def l_matrix(self) -> IntMatrix:
         m = self.shape[0]
-        return IntMatrix(m, m, tuple(zip(*self._L)))
+        return IntMatrix(m, m, tuple(zip(*(_dense(col, m) for col in self._L))))
 
     def left(self, b: Sequence[int]) -> list[int]:
         """L b."""
-        return _combine(b, self._L, self.shape[0])
+        out = [0] * self.shape[0]
+        for c, col in zip(b, self._L):
+            if c:
+                for i, v in col.items():
+                    out[i] += c * v
+        return out
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
         """One integer solution of A x = b, free parameters set to zero."""
@@ -344,7 +359,8 @@ class _Smith:
                     raise NoSolution("divisibility obstruction")
                 yi = c[i] // d
                 if yi:
-                    x = [xk + yi * rk for xk, rk in zip(x, self._R[i])]
+                    for k, v in self._R[i].items():
+                        x[k] += yi * v
         for i in range(len(diag), m):
             if c[i] != 0:
                 raise NoSolution("inconsistent row in diagonalized system")
@@ -352,16 +368,73 @@ class _Smith:
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel lattice of A."""
-        diag = self.diag
-        return [col for j, col in enumerate(self._R) if j >= len(diag) or diag[j] == 0]
+        diag, n = self.diag, self.shape[1]
+        return [_dense(col, n) for j, col in enumerate(self._R)
+                if j >= len(diag) or diag[j] == 0]
 
 
-def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The sum of c * v over the pairs with c nonzero, each v cut to length n."""
-    out = [0] * n
-    for c, v in zip(coeffs, vectors):
+def _replay(log: list[int], n: int) -> list[list[int]]:
+    """The inverse of the product of the n x n elementary operations in
+    ``log``, a flat list of (i, j, c) triples in the order applied: c != 0
+    adds c times line j to line i, c == 0 swaps lines i and j, or negates
+    line i when i == j.  Each inverse acts on the result's lines the same
+    way, line j -= c * line i; those lines are the columns of L^-1 for a
+    log of row operations and the rows of R^-1 for column operations."""
+    lines = _identity_rows(n)
+    it = iter(log)
+    for i, j, c in zip(it, it, it):
         if c:
-            out = [x + c * y for x, y in zip(out, v)]
+            lines[j] = [x - c * y for x, y in zip(lines[j], lines[i])]
+        elif i == j:
+            lines[i] = [-x for x in lines[i]]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def _add_row(row: dict, c: int, v: dict, rows_of: list[set], i: int) -> None:
+    """Row i of A += c * v, c != 0, with the column index following the
+    entries that appear or vanish."""
+    get = row.get
+    for k, x in v.items():
+        y = get(k)
+        if y is None:
+            row[k] = c * x
+            rows_of[k].add(i)
+        else:
+            y += c * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+                rows_of[k].remove(i)
+
+
+def _add_to(u: dict, c: int, v: dict) -> None:
+    """u += c * v on dicts of nonzeros, c != 0."""
+    get = u.get
+    for k, x in v.items():
+        y = get(k, 0) + c * x
+        if y:
+            u[k] = y
+        else:
+            del u[k]
+
+
+def _dense(col: dict, n: int) -> tuple[int, ...]:
+    out = [0] * n
+    for k, v in col.items():
+        out[k] = v
+    return tuple(out)
+
+
+def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The sum of c * vectors[k] over the (k, c) in ``pairs``, each vector
+    cut to length n."""
+    out = [0] * n
+    for k, c in pairs:
+        if c:
+            out = [x + c * y for x, y in zip(out, vectors[k])]
     return out
 
 
@@ -372,22 +445,23 @@ def _identity_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def _find_pivot(A: list[list[int]], t: int) -> Optional[tuple[int, int]]:
+def _find_pivot(A: list[dict], t: int) -> Optional[tuple[int, int]]:
     """(row, col) of the entry of minimal |value| in rows and columns >= t,
     ties to the lowest (row, col); None when that block is zero.  Rows >= t
     must be zero in columns < t, so whole rows can be scanned; the scan
     stops at the first row holding a +-1, since nothing is smaller."""
     best, at = 0, None
     for i in range(t, len(A)):
-        v = min(map(abs, filter(None, A[i])), default=0)
-        if v and (at is None or v < best):
-            best, at = v, i
-            if v == 1:
-                break
+        row = A[i]
+        if row:
+            v = min(map(abs, row.values()))
+            if at is None or v < best:
+                best, at = v, i
+                if v == 1:
+                    break
     if at is None:
         return None
-    row = A[at]
-    return at, min(row.index(u) for u in (best, -best) if u in row)
+    return at, min(j for j, x in A[at].items() if x == best or x == -best)
 
 
 @lru_cache(maxsize=4096)
@@ -395,15 +469,10 @@ def _smith_cached(a: IntMatrix) -> _Smith:
     return _Smith(a)
 
 
-@lru_cache(maxsize=1024)
-def _smith_full_cached(a: IntMatrix) -> _Smith:
-    return _Smith(a, full=True)
-
-
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with A = U*D*V, U and V unimodular, D diagonal
     with non-negative entries in a divisibility chain."""
-    s = _smith_full_cached(a)
+    s = _smith_cached(a)
     return s.u_matrix(), s.d_matrix(), s.v_matrix()
 
 
@@ -556,16 +625,17 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     s_in = _smith_cached(d_in)
     r = s_in.rank
     tors = [(i, d) for i, d in enumerate(s_in.diag[:r]) if d > 1]
-    units = [tuple(v // d for v in d_in.mul_vec(s_in._R[i])) for i, d in tors]
+    units = [tuple(v // d for v in d_in.mul_vec(_dense(s_in._R[i], d_in.cols)))
+             for i, d in tors]
     kernel = _smith_cached(d_out).kernel_columns()
     l_kernel = [s_in.left(v) for v in kernel]
-    s_free = _Smith(IntMatrix(n_mid - r, len(kernel),
-                              tuple(tuple(lk[i] for lk in l_kernel) for i in range(r, n_mid))))
+    s_free = _Smith(IntMatrix.from_rows([lk[r:] for lk in l_kernel], cols=n_mid - r).transpose())
     f = s_free.rank
     reps = []
     for col in s_free._R[:f]:
-        rep, l_rep = _combine(col, kernel, n_mid), _combine(col, l_kernel, r)
-        reps.append(tuple(_combine([1] + [-l_rep[i] for i, _ in tors], [rep] + units, n_mid)))
+        rep, l_rep = _combine(col.items(), kernel, n_mid), _combine(col.items(), l_kernel, r)
+        reps.append(tuple(_combine(enumerate([1] + [-l_rep[i] for i, _ in tors]),
+                                   [rep] + units, n_mid)))
 
     def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
         if len(cycle) != n_mid:

@@ -39,7 +39,7 @@ def _subquotient(kernel_cols: list[tuple[int, ...]], n_mid: int,
         rel_rows.append(ksmith.solve(colv))  # coordinates of the column in the kernel basis
     relmat = IntMatrix.from_rows([list(r) for r in rel_rows], cols=k)
     # relations act on Z^k; columns of relmat^T span the image
-    msmith = _Smith(relmat.transpose(), full=True)
+    msmith = _Smith(relmat.transpose())
     diag = msmith.diag
     torsion_pos = [i for i in range(len(diag)) if diag[i] > 1]
     free_pos = [i for i in range(k) if i >= len(diag) or diag[i] == 0]

@@ -16,7 +16,16 @@ from dense_reference import DenseSmith, dense_mul
 from tdual import catalog
 from tdual.bundles import TotalComplex
 from tdual.complexes import coboundary_matrix
-from tdual.exactalg import IntMatrix, NoSolution, _Smith
+from tdual.exactalg import (
+    IntMatrix,
+    NoSolution,
+    _Smith,
+    _smith_cached,
+    hstack,
+    kernel_basis,
+    smith_normal_form,
+    solve_integer,
+)
 
 
 def sparse_unit_matrix(rng, rows, cols, density=0.03):
@@ -32,6 +41,35 @@ def sparse_unit_matrix(rng, rows, cols, density=0.03):
 def dense_matrix(rng, rows, cols, bound=50):
     return IntMatrix(rows, cols, tuple(tuple(rng.randint(-bound, bound) for _ in range(cols))
                                        for _ in range(rows)))
+
+
+def diagonal_heavy_matrix(rng, rows, cols):
+    """Non-unit diagonal entries that need not divide each other, a few
+    off-diagonal ones, rows and columns shuffled: non-unit pivots and
+    divisibility passes."""
+    data = [[0] * cols for _ in range(rows)]
+    for i in range(min(rows, cols)):
+        data[i][i] = rng.choice((0, 2, 3, 4, 6, 9, 10))
+    for _ in range(rng.randint(0, rows + cols)):
+        data[rng.randrange(rows)][rng.randrange(cols)] = rng.choice((-6, -4, -2, 2, 3, 4, 6))
+    rng.shuffle(data)
+    perm = rng.sample(range(cols), cols)
+    return IntMatrix(rows, cols, tuple(tuple(row[j] for j in perm) for row in data))
+
+
+def incidence_matrix(rng, rows, cols):
+    """Rows with one to three +1 entries, a 2 where two land together, as
+    in an edge-vertex incidence matrix with loops."""
+    data = [[0] * cols for _ in range(rows)]
+    for row in data:
+        for _ in range(rng.randint(1, 3)):
+            row[rng.randrange(cols)] += 1
+    return IntMatrix.from_rows(data, cols=cols)
+
+
+def mod_two_system(a):
+    """[A | 2I], the integer system that solve_mod(a, b, 2) factors."""
+    return hstack([a, IntMatrix.identity(a.rows).scale(2)])
 
 
 def outcome(smith, b):
@@ -53,7 +91,7 @@ def right_hand_sides(rng, a):
 
 def assert_same_as_dense(a, rng):
     for full in (False, True):
-        new, ref = _Smith(a, full=full), DenseSmith(a, full=full)
+        new, ref = _Smith(a), DenseSmith(a, full=full)
         assert new.diag == ref.diag
         assert new.rank == ref.rank
         assert new.d_matrix() == ref.d_matrix()
@@ -78,6 +116,50 @@ def test_sparse_unit_heavy_matrices_match_dense(rows, cols, seed):
 def test_dense_matrices_match_dense(rows, cols, seed):
     rng = random.Random(seed)
     assert_same_as_dense(dense_matrix(rng, rows, cols), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_diagonal_heavy_matrices_match_dense(rows, cols, seed):
+    rng = random.Random(seed)
+    assert_same_as_dense(diagonal_heavy_matrix(rng, rows, cols), rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_mod_two_systems_match_dense(rows, cols, seed):
+    rng = random.Random(seed)
+    assert_same_as_dense(mod_two_system(incidence_matrix(rng, rows, cols)), rng)
+
+
+@pytest.mark.parametrize("kind,params", [("sigma", {"g": 3}), ("crosscap", {"n": 4})])
+def test_z2_rescaling_systems_match_dense(kind, params):
+    """The edge-vertex system that complexes.z2_rescaling solves mod 2."""
+    x = catalog.space(kind, **params).complex
+    rows = []
+    for e in range(x.count(1)):
+        row = [0] * x.vertex_count
+        for v in x.simplex(1, e):
+            row[v] += 1
+        rows.append(row)
+    a = IntMatrix.from_rows(rows, cols=x.vertex_count)
+    assert_same_as_dense(mod_two_system(a), random.Random(3))
+
+
+def test_one_factorization_serves_snf_kernel_and_solve():
+    a = dense_matrix(random.Random(5), 9, 11)
+    _smith_cached.cache_clear()
+    u, d, v = smith_normal_form(a)
+    kernel = kernel_basis(a)
+    x = solve_integer(a, a.mul_vec([1] * 11))
+    info = _smith_cached.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert u.mul(d).mul(v) == a
+    assert all(not any(a.mul_vec(k)) for k in kernel) and a.mul_vec(x) == a.mul_vec([1] * 11)
+    ref = DenseSmith(a, full=True)
+    s = _Smith(a)
+    assert s.u_matrix() == s.u_matrix() == ref.u_matrix() == u
+    assert s.v_matrix() == s.v_matrix() == ref.v_matrix() == v
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
