@@ -29,6 +29,7 @@ from .exactalg import (
     block_matrix,
     homology_at,
     homology_at_mod,
+    homology_at_transpose,
     homology_rank_at,
     solve_integer,
     solve_mod,
@@ -474,7 +475,8 @@ class ChainComplex:
     delta: Callable[[int], IntMatrix] = field(compare=False, repr=False)
 
     def cohomology(self, ring=RING_Z) -> tuple[GroupData, ...]:
-        """H^0..H^dim with generator cocycles and class_of maps.
+        """H^0..H^dim: the groups at once, generator cocycles and class_of
+        maps on first use.
 
         ``ring`` is "Z", "Q" (ranks only), or an int m >= 2 for Z/m
         coefficients; anything else raises ValueError.
@@ -496,13 +498,13 @@ def _groups(cx: ChainComplex, ring, transposed: bool) -> tuple[GroupData, ...]:
     out = []
     for k in range(cx.dim + 1):
         d_in, d_out = cx.delta(k - 1), cx.delta(k)
-        if transposed:  # H_k = ker(delta^{k-1} transposed) / im(delta^k transposed)
-            d_in, d_out = d_out.transpose(), d_in.transpose()
-        if ring == RING_Z:
-            out.append(homology_at(d_in, d_out))
-        elif ring == RING_Q:
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
+        if ring == RING_Q:  # transposing keeps ranks, so H_k and H^k agree over Q
+            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out))))
+        elif ring == RING_Z:
+            out.append((homology_at_transpose if transposed else homology_at)(d_in, d_out))
         else:
+            if transposed:  # H_k = ker(delta^{k-1} transposed) / im(delta^k transposed)
+                d_in, d_out = d_out.transpose(), d_in.transpose()
             out.append(homology_at_mod(d_in, d_out, ring))
     return tuple(out)
 

@@ -12,7 +12,7 @@ threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from math import gcd
@@ -577,20 +577,59 @@ def normal_form(g: PresentedGroup) -> FGAbelianGroup:
 # Homology of a pair of composable maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GroupData:
-    """A subquotient ker(d_out)/im(d_in) with explicit generators.
+    """A subquotient ker(d_out)/im(d_in): its group first, its generators
+    on first use.
 
-    ``representatives`` are cycles in the middle term, read off adapted
-    bases (the Smith forms of the two maps; see ``homology_at``): free
-    generators first, then torsion generators in invariant-factor order.
-    ``class_of`` maps any cycle to its coordinates in that order, reducing
-    torsion coordinates into [0, d), and raises ValueError on a non-cycle.
+    ``group`` is known when the value is made.  ``representatives`` are
+    cycles in the middle term: free generators first, then torsion
+    generators in invariant-factor order.  ``class_of`` maps any cycle to
+    its coordinates in that order, reducing torsion coordinates into
+    [0, d), and raises ValueError on a non-cycle.
+
+    ``GroupData.deferred(group, build)`` leaves both to ``build()``, which
+    returns a GroupData of the same group; it runs once, on the first read
+    of ``representatives``, ``class_of`` or ``coordinates``, so a caller
+    that reads only ``group`` never pays for generators.
     """
 
-    group: FGAbelianGroup
-    representatives: tuple[tuple[int, ...], ...]
-    class_of: Optional[Callable[[Sequence[int]], tuple[int, ...]]] = field(default=None, compare=False)
+    __slots__ = ("group", "_generators")
+
+    def __init__(self, group: FGAbelianGroup, representatives: Sequence[Sequence[int]] = (),
+                 class_of: Optional[Callable[[Sequence[int]], tuple[int, ...]]] = None):
+        self.group = group
+        self._generators = (tuple(representatives), class_of)
+
+    @classmethod
+    def deferred(cls, group: FGAbelianGroup, build: Callable[[], "GroupData"]) -> "GroupData":
+        out = cls(group)
+        out._generators = build
+        return out
+
+    def _built(self) -> tuple:
+        # One read of the slot: two threads reading first may both build,
+        # and both store equal generators.
+        gens = self._generators
+        if callable(gens):
+            built = gens()
+            gens = self._generators = (built.representatives, built.class_of)
+        return gens
+
+    @property
+    def representatives(self) -> tuple[tuple[int, ...], ...]:
+        return self._built()[0]
+
+    @property
+    def class_of(self) -> Optional[Callable[[Sequence[int]], tuple[int, ...]]]:
+        return self._built()[1]
+
+    def __eq__(self, other) -> bool:  # by group and generators, so it builds them
+        if not isinstance(other, GroupData):
+            return NotImplemented
+        return (self.group, self.representatives) == (other.group, other.representatives)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.representatives))
 
     def coordinates(self, cycle: Sequence[int]) -> tuple[int, ...]:
         if self.class_of is None:
@@ -599,12 +638,50 @@ class GroupData:
 
 
 def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
-    """ker(d_out)/im(d_in) with generators and a class_of map.
+    """ker(d_out)/im(d_in): the group at once, generators and a class_of
+    map on first use.
 
     ``d_in``: C_in -> C_mid and ``d_out``: C_mid -> C_out; requires
     d_out . d_in = 0.  The group is read off the cached Smith forms of the
-    two maps in adapted bases (Kaczynski, Mischaikow, Mrozek,
-    *Computational Homology*, ch. 3):
+    two maps: free rank n_mid - rank(d_in) - rank(d_out), torsion the
+    diagonal entries of d_in above 1.  Generators come from the same
+    factorizations in adapted bases (Kaczynski, Mischaikow, Mrozek,
+    *Computational Homology*, ch. 3), built by ``_generators`` only when
+    ``representatives``, ``class_of`` or ``coordinates`` is first read.
+    """
+    if d_in.rows != d_out.cols:
+        raise ValueError("middle dimensions disagree")
+    if not d_out.mul(d_in).is_zero():
+        raise CompositionNotZero("d_out . d_in != 0")
+    return GroupData.deferred(_group(d_in.rows, _smith_cached(d_in), _smith_cached(d_out)),
+                              lambda: _generators(d_in, d_out))
+
+
+def homology_at_transpose(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
+    """``homology_at(d_out.T, d_in.T)``, ker(d_in.T)/im(d_out.T): for the
+    coboundaries d_in = delta^{k-1} and d_out = delta^k, the homology H_k.
+
+    Transposing keeps ranks and invariant factors, so the group is read
+    off the cached Smith forms of d_in and d_out themselves, those that
+    the cohomology at the same degree reads.  The transposes are built and
+    factored only when generators are first asked for.
+    """
+    if d_in.rows != d_out.cols:
+        raise ValueError("middle dimensions disagree")
+    if not d_out.mul(d_in).is_zero():
+        raise CompositionNotZero("d_out . d_in != 0")
+    return GroupData.deferred(_group(d_out.cols, _smith_cached(d_out), _smith_cached(d_in)),
+                              lambda: homology_at(d_out.transpose(), d_in.transpose()))
+
+
+def _group(n_mid: int, s_in: _Smith, s_out: _Smith) -> FGAbelianGroup:
+    """ker(d_out)/im(d_in) for maps through Z^n_mid that compose to zero,
+    from the Smith forms of d_in and d_out or of their transposes."""
+    return FGAbelianGroup(n_mid - s_in.rank - s_out.rank, tuple(d for d in s_in.diag if d > 1))
+
+
+def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
+    """``homology_at(d_in, d_out)`` with its generators and class_of built:
 
     - With L d_in R = D of rank r, the columns u_i = d_in R e_i / d_i
       (i < r) of L^-1 span the saturation of im(d_in), and the d_i u_i
@@ -617,10 +694,6 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
       are the K R_N e_l (l < f) less their torsion components, with
       coordinates (L_N y[r:])[:f].
     """
-    if d_in.rows != d_out.cols:
-        raise ValueError("middle dimensions disagree")
-    if not d_out.mul(d_in).is_zero():
-        raise CompositionNotZero("d_out . d_in != 0")
     n_mid = d_in.rows
     s_in = _smith_cached(d_in)
     r = s_in.rank
@@ -656,7 +729,8 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
         d_in' = [[d_in, m I], [d_out d_in / m, d_out]],  d_out' = [d_out | -m I],
 
     whose middle term C_mid (+) C_out holds the cycle x mod m as
-    (x, d_out x / m).  The generators are the first n_mid entries of the
+    (x, d_out x / m).  The group is the cone's, read at once; the
+    generators, built on first use, are the first n_mid entries of the
     cone's generators; ``class_of`` takes any integer x with
     d_out x = 0 (mod m).
     """
@@ -680,7 +754,8 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
             raise ValueError("not a cycle")
         return cone.class_of(tuple(cycle) + tuple(v // m for v in image))
 
-    return GroupData(cone.group, tuple(rep[:n_mid] for rep in cone.representatives), class_of)
+    return GroupData.deferred(cone.group, lambda: GroupData(
+        cone.group, tuple(rep[:n_mid] for rep in cone.representatives), class_of))
 
 
 def rank_of(a: IntMatrix) -> int:
@@ -709,9 +784,51 @@ def element_order(group: FGAbelianGroup, coords: Sequence[int]) -> Optional[int]
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], m: int) -> tuple[int, ...]:
-    """Some x with A x = b (mod m); raises NoSolution otherwise."""
+    """Some x with entries in [0, m) and A x = b (mod m); raises NoSolution
+    otherwise.  For m = 2 this is Gaussian elimination over GF(2) (see
+    ``_solve_gf2``); for other m, an integer solve of [A | m I] y = b."""
     if a.rows == 0:
         return (0,) * a.cols
+    if m == 2:
+        return _solve_gf2(a, b)
     aug = hstack([a, IntMatrix.identity(a.rows).scale(m)])
     x = solve_integer(aug, b)
     return tuple(v % m for v in x[:a.cols])
+
+
+def _solve_gf2(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...]:
+    """The x in {0, 1}^n with A x = b (mod 2) whose free variables are zero.
+
+    Equation i is the Python int whose bit j is A[i][j] mod 2 (j < n) and
+    whose bit n is b_i mod 2.  Each is reduced by the rows kept so far,
+    keyed by their lowest set bit, and kept when a coefficient bit
+    survives; one reduced to the bare bit n is inconsistent.  The kept
+    rows are an echelon form, and its pivots are the columns outside the
+    span of the columns before them, whatever the order of the equations;
+    the other columns are the free variables.
+    """
+    n = a.cols
+    if len(b) != a.rows:
+        raise ValueError("rhs length mismatch")
+    rhs = 1 << n
+    kept: dict[int, int] = {}  # lowest set bit -> row
+    for row, c in zip(a.data, b):
+        bits = rhs if c & 1 else 0
+        for j in compress(range(n), row):
+            if row[j] & 1:
+                bits |= 1 << j
+        while bits:
+            low = bits & -bits
+            if low == rhs:
+                raise NoSolution("inconsistent row mod 2")
+            pivot_row = kept.get(low)
+            if pivot_row is None:
+                kept[low] = bits
+                break
+            bits ^= pivot_row
+    x = 0  # back substitution, last pivot first
+    for low in sorted(kept, reverse=True):
+        row = kept[low]
+        if ((row & x).bit_count() + (row >> n)) & 1:
+            x |= low
+    return tuple((x >> j) & 1 for j in range(n))

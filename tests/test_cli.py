@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tdual import exactalg
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
 from tdual.courant import standard_contexts
@@ -30,6 +31,20 @@ def test_cohomology_command(tmp_path, capsys):
     assert main(["cohomology", str(space_path), "--local-system", str(ls_path)]) == 0
     out = capsys.readouterr().out
     assert "Z/2" in out
+
+
+def test_cohomology_command_prints_groups_without_generators(tmp_path, capsys, monkeypatch):
+    """H^0 of n bare vertices is Z^n; printing it needs no kernel basis,
+    which would be n vectors of length n."""
+    kernels = []
+    kernel_columns = exactalg._Smith.kernel_columns
+    monkeypatch.setattr(exactalg._Smith, "kernel_columns",
+                        lambda self: kernels.append(self.shape) or kernel_columns(self))
+    path = tmp_path / "vertices.json"
+    path.write_text('{"vertices": 2000}')
+    assert main(["cohomology", str(path)]) == 0
+    assert capsys.readouterr().out == "H^*: Z^2000\n"
+    assert kernels == []
 
 
 def test_bundle_cohomology_command(tmp_path, capsys):

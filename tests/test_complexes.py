@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from tdual import complexes, exactalg
 from tdual.catalog import circle, crosscap_sum, klein_bottle, sigma, space, torus
 from tdual.complexes import (
     DeltaComplex,
@@ -309,3 +310,24 @@ def test_bockstein_requires_cocycle():
     if not coboundary(c).is_zero():
         with pytest.raises(NotACocycle):
             bockstein(c)
+
+
+def test_groups_are_read_without_generator_factorizations(monkeypatch):
+    """Cohomology groups factor the coboundaries through the cache and
+    nothing else; homology groups read after them factor nothing new."""
+    built = []
+
+    class CountingSmith(exactalg._Smith):
+        def __init__(self, a):
+            built.append(a)
+            super().__init__(a)
+
+    monkeypatch.setattr(exactalg, "_Smith", CountingSmith)
+    complexes._groups.cache_clear()
+    exactalg._smith_cached.cache_clear()
+    x = space("sigma", g=3).complex
+    assert [g.group for g in cohomology(x)] == [FG(1), FG(6), FG(1)]
+    misses = exactalg._smith_cached.cache_info().misses
+    assert len(built) == misses
+    assert [g.group for g in homology(x)] == [FG(1), FG(6), FG(1)]
+    assert exactalg._smith_cached.cache_info().misses == misses == len(built)

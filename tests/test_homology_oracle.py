@@ -12,6 +12,14 @@ catalog spaces below (bundles j in 0..2, both coefficient systems) and
 the correspondence complex of flux k = 1 on bundle j = 1, in cohomology
 and homology over Z, Z/2 and Z/3, and random pairs d_in = P [D; 0] Q, d_out = [m X | M] P^-1 with P
 and Q unimodular (X = 0 over Z).
+
+The group is read off the Smith diagonals before any generator exists,
+so each case also checks it against the group the forced generators
+present (the relations among them modulo the boundaries), against the
+group the eager generator code computes, and, for the homology of a
+complex, against ``homology_at`` on the explicitly transposed
+coboundaries, whose generators and ``class_of`` must be the ones the
+complex hands out.
 """
 
 import pytest
@@ -21,8 +29,17 @@ from hypothesis import strategies as st
 import homology_reference as ref
 from tdual import catalog
 from tdual.bundles import BundleDescriptor, TotalComplex
-from tdual.complexes import cochain_complex
-from tdual.exactalg import IntMatrix, homology_at, homology_at_mod
+from tdual.complexes import ChainComplex, cochain_complex
+from tdual.exactalg import (
+    IntMatrix,
+    PresentedGroup,
+    _generators,
+    homology_at,
+    homology_at_mod,
+    hstack,
+    kernel_basis,
+    normal_form,
+)
 from tdual.tduality import CorrespondenceComplex
 
 SPACES = ([("sigma", {"g": g}) for g in (1, 2, 3)]
@@ -47,13 +64,40 @@ def combine(coeffs, vectors, n):
     return out
 
 
-def check_pair(d_in, d_out, ring):
+def presented_group(reps, d_in, ring):
+    """The group the cycles ``reps`` generate modulo im(d_in) (and m over
+    Z/m): Z^s over the c with sum c_i reps[i] a boundary."""
+    s, n_mid = len(reps), d_in.rows
+    blocks = [IntMatrix(n_mid, s, tuple(zip(*reps)) if s else ((),) * n_mid), d_in]
+    if ring != "Z":
+        blocks.append(IntMatrix.identity(n_mid).scale(ring))
+    relations = [v[:s] for v in kernel_basis(hstack(blocks))]
+    return normal_form(PresentedGroup(s, IntMatrix.from_rows(relations, cols=s)))
+
+
+def check_pair(d_in, d_out, ring, lazy=None):
+    """``lazy``, when given, is a GroupData of the same pair computed
+    another way; it must match this one bit for bit."""
     if ring == "Z":
         new, old = homology_at(d_in, d_out), ref.homology_at(d_in, d_out)
     else:
         new, old = homology_at_mod(d_in, d_out, ring), ref.homology_at_mod(d_in, d_out, ring)
-    assert new.group == old.group
-    g = new.group
+    g = new.group  # read before any generator is built
+    assert g == old.group
+    assert presented_group(new.representatives, d_in, ring) == g
+    if ring == "Z":
+        eager = _generators(d_in, d_out)
+        assert eager.group == g
+        assert eager.representatives == new.representatives
+    if lazy is not None:
+        n_mid = d_in.rows
+        reps = new.representatives
+        assert lazy.group == g
+        assert lazy.representatives == reps
+        probes = [tuple(int(i == j) for i in range(n_mid)) for j in range(min(n_mid, 6))]
+        probes.append(combine(range(1, len(reps) + 1), reps, n_mid))
+        for cycle in probes:  # non-cycles among them: both must raise
+            assert outcome(lazy.class_of, cycle) == outcome(new.class_of, cycle)
     moduli = [0] * g.free_rank + list(g.torsion)
     rank, n_mid = len(moduli), d_in.rows
     unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
@@ -85,16 +129,28 @@ def check_pair(d_in, d_out, ring):
         assert reduce(combine(to_new[i], to_old, rank), moduli) == unit[i]
 
 
-def check_complex(delta, dim, seen):
+def check_complex(cx, seen):
     """Cohomology and homology of every degree, over every ring; ``seen``
-    holds the pairs checked so far, since complexes share coboundaries."""
-    for k in range(dim + 1):
-        d_in, d_out = delta(k - 1), delta(k)
-        for pair in ((d_in, d_out), (d_out.transpose(), d_in.transpose())):
-            for ring in RINGS:
+    holds the pairs checked so far, since complexes share coboundaries.
+    The homology the complex hands out, its group read off the
+    untransposed coboundaries, is checked against ``homology_at`` on the
+    transposed ones."""
+    for ring in RINGS:
+        homology = cx.homology(ring)
+        for k in range(cx.dim + 1):
+            d_in, d_out = cx.delta(k - 1), cx.delta(k)
+            for pair, lazy in (((d_in, d_out), None),
+                               ((d_out.transpose(), d_in.transpose()), homology[k])):
                 if (pair, ring) not in seen:
                     seen.add((pair, ring))
-                    check_pair(*pair, ring)
+                    check_pair(*pair, ring, lazy)
+
+
+def outcome(class_of, cycle):
+    try:
+        return class_of(cycle)
+    except ValueError:
+        return ValueError
 
 
 def bundles(info):
@@ -111,15 +167,15 @@ def test_catalog_complexes_match_reference(case):
     x = info.complex
     seen = set()
     for system in (None, info.xi()):
-        cx = cochain_complex(x, system)
-        check_complex(cx.delta, cx.dim, seen)
+        check_complex(cochain_complex(x, system), seen)
     for bundle in bundles(info):
         for zeta in (None, bundle.xi):
-            cx = TotalComplex(bundle, zeta).chain
-            check_complex(cx.delta, cx.dim, seen)
+            check_complex(TotalComplex(bundle, zeta).chain, seen)
     bundle = catalog.build_bundle(info, info.xi(), 1)
     ehat = BundleDescriptor(x, bundle.xi, catalog.build_flux(bundle, 1).fhat)
-    check_complex(CorrespondenceComplex(bundle, ehat).delta_matrix, x.dimension + 2, seen)
+    corr = CorrespondenceComplex(bundle, ehat)
+    check_complex(ChainComplex(("oracle-corr", bundle, ehat), x.dimension + 2, corr.delta_matrix),
+                  seen)
 
 
 def matrix(rows, n_rows, n_cols):

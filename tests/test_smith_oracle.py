@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from dense_reference import DenseSmith, dense_mul
 from tdual import catalog
 from tdual.bundles import TotalComplex
-from tdual.complexes import coboundary_matrix
+from tdual.complexes import coboundary_matrix, z2_rescaling
 from tdual.exactalg import (
     IntMatrix,
     NoSolution,
@@ -25,6 +25,7 @@ from tdual.exactalg import (
     kernel_basis,
     smith_normal_form,
     solve_integer,
+    solve_mod,
 )
 
 
@@ -68,7 +69,8 @@ def incidence_matrix(rng, rows, cols):
 
 
 def mod_two_system(a):
-    """[A | 2I], the integer system that solve_mod(a, b, 2) factors."""
+    """[A | 2I]: its integer solutions, cut to A's columns and taken mod 2,
+    solve A x = b (mod 2); the reference for solve_mod's GF(2) path."""
     return hstack([a, IntMatrix.identity(a.rows).scale(2)])
 
 
@@ -132,18 +134,81 @@ def test_mod_two_systems_match_dense(rows, cols, seed):
     assert_same_as_dense(mod_two_system(incidence_matrix(rng, rows, cols)), rng)
 
 
-@pytest.mark.parametrize("kind,params", [("sigma", {"g": 3}), ("crosscap", {"n": 4})])
-def test_z2_rescaling_systems_match_dense(kind, params):
+def edge_vertex_matrix(x):
     """The edge-vertex system that complexes.z2_rescaling solves mod 2."""
-    x = catalog.space(kind, **params).complex
     rows = []
     for e in range(x.count(1)):
         row = [0] * x.vertex_count
         for v in x.simplex(1, e):
             row[v] += 1
         rows.append(row)
-    a = IntMatrix.from_rows(rows, cols=x.vertex_count)
-    assert_same_as_dense(mod_two_system(a), random.Random(3))
+    return IntMatrix.from_rows(rows, cols=x.vertex_count)
+
+
+@pytest.mark.parametrize("kind,params", [("sigma", {"g": 3}), ("crosscap", {"n": 4})])
+def test_z2_rescaling_systems_match_dense(kind, params):
+    x = catalog.space(kind, **params).complex
+    assert_same_as_dense(mod_two_system(edge_vertex_matrix(x)), random.Random(3))
+
+
+def integer_mod_two(a, b):
+    """solve_mod(a, b, 2) as the integer solve of [A | 2I], or NoSolution."""
+    try:
+        return tuple(v % 2 for v in solve_integer(mod_two_system(a), b)[:a.cols])
+    except NoSolution:
+        return NoSolution
+
+
+def gf2_outcome(a, b):
+    try:
+        return solve_mod(a, b, 2)
+    except NoSolution:
+        return NoSolution
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 14), st.integers(0, 3), st.integers(0, 10 ** 6))
+def test_gf2_solve_agrees_with_integer_path(rows, cols, kind, seed):
+    """Same solvability as [A | 2I] over Z; a solution in {0, 1}^n with
+    A x = b (mod 2).  Low-rank products make inconsistent systems."""
+    rng = random.Random(seed)
+    if kind == 0:
+        a = incidence_matrix(rng, rows, cols)
+    elif kind == 1:
+        a = sparse_unit_matrix(rng, rows, cols, density=0.3)
+    else:
+        inner = rng.randint(1, 3)
+        a = dense_matrix(rng, rows, inner, bound=3).mul(dense_matrix(rng, inner, cols, bound=3))
+    rhs = right_hand_sides(rng, a) + [tuple(rng.randint(0, 1) for _ in range(rows))]
+    for b in rhs:
+        x = gf2_outcome(a, b)
+        assert (x is NoSolution) == (integer_mod_two(a, b) is NoSolution)
+        if x is not NoSolution:
+            assert set(x) <= {0, 1} and len(x) == cols
+            assert all((v - c) % 2 == 0 for v, c in zip(a.mul_vec(x), b))
+
+
+CATALOG = ([("circle", {}), ("torus", {}), ("klein", {})]
+           + [("sigma", {"g": g}) for g in (1, 2, 3)]
+           + [("crosscap", {"n": n}) for n in (1, 2, 3, 4)])
+
+
+@pytest.mark.parametrize("kind,params", CATALOG)
+def test_z2_rescaling_matches_integer_path(kind, params):
+    """On every ordered pair of the space's sign systems (none, the
+    orientation system, the default xi and the xi odd on one label), the
+    GF(2) rescaling is the vector the integer solve gave."""
+    info = catalog.space(kind, **params)
+    x = info.complex
+    systems = [None, info.orientation_system(), info.xi()]
+    systems += [info.xi(frozenset({label})) for label, _ in info.label_edges]
+    a = edge_vertex_matrix(x)
+    for s1 in systems:
+        for s2 in systems:
+            diff = [int((s1.sign(e) if s1 else 1) != (s2.sign(e) if s2 else 1))
+                    for e in range(x.count(1))]
+            expected = integer_mod_two(a, diff)
+            assert z2_rescaling(x, s1, s2) == (None if expected is NoSolution else expected)
 
 
 def test_one_factorization_serves_snf_kernel_and_solve():
