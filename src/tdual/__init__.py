@@ -63,7 +63,6 @@ from .complexes import (
     poincare_duality_check,
     tensor,
     trivial_system,
-    validate_complex,
 )
 from .courant import (
     EquivariantContext,

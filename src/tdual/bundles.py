@@ -39,6 +39,7 @@ from .complexes import (
     cup,
     cup_matrix_left,
     duality_report,
+    is_coboundary,
     is_same_z2_class,
     json_int,
     system_key,
@@ -51,6 +52,7 @@ from .exactalg import (
     IntMatrix,
     NoSolution,
     homology_at,  # unused here; perfbench's tests check that tracing rebinds it
+    hstack,
     kernel_basis,
     solve_integer,
 )
@@ -265,16 +267,9 @@ def same_bundle(d1: BundleDescriptor, d2: BundleDescriptor) -> bool:
         raise BaseMismatch("bundles live over different bases")
     if not is_same_z2_class(d1.xi, d2.xi):
         return False
-    if d1.base.dimension < 2:
-        return True  # H^2 vanishes
+    e1 = d1.euler_cochain()
     e2 = align_xi_cochain(d2.euler_cochain(), d1.xi)
-    h2 = cohomology(d1.base, d1.xi)[2]
-    c1 = h2.coordinates(d1.euler)
-    c2 = h2.coordinates(e2.values)
-    if c1 == c2:
-        return True
-    neg = h2.coordinates(tuple(-v for v in e2.values))
-    return c1 == neg
+    return is_coboundary(e1 - e2) or is_coboundary(e1 + e2)
 
 
 def align_xi_cochain(c: TwistedCochain, target_xi: LocalSystem) -> TwistedCochain:
@@ -356,42 +351,21 @@ def gysin_exactness_report(bundle: BundleDescriptor, zeta: System = None) -> lis
 def _exact_at(src: Optional[GroupData], mid: GroupData, dst: Optional[GroupData],
               f_apply, g_apply) -> bool:
     """im(f: src -> mid) equals ker(g: mid -> dst) inside mid."""
-    n_mid = mid.group.free_rank + len(mid.group.torsion)
-    moduli = [0] * mid.group.free_rank + list(mid.group.torsion)
-
-    def mid_coords(rep) -> list[int]:
-        return list(mid.coordinates(rep))
-
-    image = []
-    if src is not None:
-        for rep in src.representatives:
-            image.append(mid_coords(f_apply(rep)))
-    # relations of mid (torsion)
-    rel = []
-    for i, m in enumerate(moduli):
-        if m:
-            rel.append([m if j == i else 0 for j in range(n_mid)])
+    mid_rel = mid.group.presentation()
+    n_mid = mid_rel.ambient_rank
+    rel = [list(row) for row in mid_rel.relations.data]
+    image = [] if src is None else \
+        [list(mid.coordinates(f_apply(rep))) for rep in src.representatives]
 
     # kernel of g in mid coordinates
     if dst is None:
         kernel_cols = [[1 if i == j else 0 for i in range(n_mid)] for j in range(n_mid)]
     else:
-        g_cols = []
-        for i in range(n_mid):
-            rep = mid.representatives[i]
-            g_cols.append(list(dst.coordinates(g_apply(rep))))
-        n_dst = dst.group.free_rank + len(dst.group.torsion)
-        dst_moduli = [0] * dst.group.free_rank + list(dst.group.torsion)
-        rows = [[g_cols[j][r] for j in range(n_mid)] for r in range(n_dst)]
-        # augment with the destination torsion moduli
-        aug_cols = []
-        for r, m in enumerate(dst_moduli):
-            if m:
-                aug_cols.append([m if rr == r else 0 for rr in range(n_dst)])
-        full = [[rows[r][j] for j in range(n_mid)] + [col[r] for col in aug_cols]
-                for r in range(n_dst)]
-        mat = IntMatrix.from_rows(full, cols=n_mid + len(aug_cols)) if full else \
-            IntMatrix.zeros(0, n_mid + len(aug_cols))
+        dst_rel = dst.group.presentation()
+        g = IntMatrix.from_rows([dst.coordinates(g_apply(rep)) for rep in mid.representatives],
+                                cols=dst_rel.ambient_rank).transpose()
+        # augment with the destination's relations as columns
+        mat = hstack([g, dst_rel.relations.transpose()])
         kernel_cols = [list(v[:n_mid]) for v in kernel_basis(mat)]
 
     lat_a = image + rel

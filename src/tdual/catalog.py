@@ -371,13 +371,19 @@ def space(kind: str, **params) -> SpaceInfo:
 # Bundles and fluxes over catalog spaces
 # ---------------------------------------------------------------------------
 
-def _twisted_h2(x: DeltaComplex, xi: LocalSystem):
-    """(group, generating 2-cocycle) of H^2(X, Z_xi); trivial below dim 2."""
-    if x.dimension < 2:
-        return FGAbelianGroup(0), (0,) * x.count(2)
-    h2 = cohomology(x, xi)[2]
-    gen = h2.representatives[0] if h2.representatives else (0,) * x.count(2)
-    return h2.group, gen
+def _h2_multiple(x: DeltaComplex, xi: LocalSystem, n: int, error: type,
+                 trivial: str, name: str) -> tuple[int, ...]:
+    """n times the canonical generator of H^2(x, Z_xi), as a 2-cocycle.
+    Raises ``error`` unless n names an element: only n = 0 on the trivial
+    group (message ``trivial``), and 0 <= n < d on a cyclic Z/d."""
+    h2 = cohomology(x, xi)[2] if x.dimension >= 2 else None
+    if h2 is None or h2.group.is_trivial:
+        if n != 0:
+            raise error(trivial)
+        return (0,) * x.count(2)
+    if h2.group.free_rank == 0 and not 0 <= n < h2.group.torsion[0]:
+        raise error(f"{name} must lie in range 0..{h2.group.torsion[0] - 1}")
+    return tuple(n * v for v in h2.representatives[0])
 
 
 def build_bundle(info: SpaceInfo, xi: Optional[LocalSystem] = None, j: int = 0):
@@ -390,29 +396,12 @@ def build_bundle(info: SpaceInfo, xi: Optional[LocalSystem] = None, j: int = 0):
         raise InvalidXi("xi lives over a different complex")
     if info.name.startswith("sigma") and xi.is_trivial_cocycle:
         raise InvalidXi("orientation class must be nonzero on this surface")
-    h2, gen = _twisted_h2(x, xi)
-    if h2.is_trivial:
-        if j != 0:
-            raise JOutOfRange("the classifying group is trivial; only j = 0 exists")
-        return BundleDescriptor(x, xi, (0,) * x.count(2))
-    if h2.free_rank == 0:
-        d = h2.torsion[0]
-        if not 0 <= j < d:
-            raise JOutOfRange(f"j must lie in range 0..{d - 1}")
-    return BundleDescriptor(x, xi, tuple(j * v for v in gen))
+    return BundleDescriptor(x, xi, _h2_multiple(
+        x, xi, j, JOutOfRange, "the classifying group is trivial; only j = 0 exists", "j"))
 
 
 def build_flux(bundle, k: int = 0):
     """Flux pair on a bundle whose push-forward class is k times the
     canonical generator of H^2(base, Z_xi)."""
-    x = bundle.base
-    h2, gen = _twisted_h2(x, bundle.xi)
-    if h2.is_trivial:
-        if k != 0:
-            raise KOutOfRange("flux group is trivial; only k = 0 exists")
-        return FluxPair(bundle, (), (0,) * x.count(2))
-    if h2.free_rank == 0:
-        d = h2.torsion[0]
-        if not 0 <= k < d:
-            raise KOutOfRange(f"k must lie in range 0..{d - 1}")
-    return FluxPair(bundle, (), tuple(k * v for v in gen))
+    return FluxPair(bundle, (), _h2_multiple(
+        bundle.base, bundle.xi, k, KOutOfRange, "flux group is trivial; only k = 0 exists", "k"))

@@ -1,24 +1,26 @@
 """Ordered Delta-complexes, rank-1 local systems, and twisted cochains.
 
-A complex is stored as vertex tuples per dimension; face maps are derived
-by deleting one vertex from the tuple and looking the result up among the
-registered simplices of one lower dimension.  For this to be unambiguous,
+A complex is stored as vertex tuples per dimension; a face is found by
+cutting its vertices out of the tuple and looking the result up among the
+registered simplices of its dimension.  For this to be unambiguous,
 distinct simplices of every dimension below the top must have distinct
 vertex tuples.  The catalog builders produce models satisfying this.
 
 Local systems are +-1 signs on edges subject to the multiplicative cocycle
 condition on every triangle; they encode integer coefficients twisted by a
-homomorphism pi_1 -> {+-1}.  The twisted coboundary attaches the transport
-sign of the leading edge to the 0th face term; the cup product transports
-the second factor along the front path.  Both conventions are exercised by
-exact identities (delta^2 = 0, Leibniz) in the test suite.
+homomorphism pi_1 -> {+-1}.  The transport conventions live in two places:
+``_coboundary_cached`` attaches the transport sign of the leading edge to
+the 0th face term, and ``_cup_terms``, which both ``cup`` and
+``cup_matrix_left`` read, transports the second factor along the front
+path.  Both conventions are exercised by exact identities (delta^2 = 0,
+Leibniz) in the test suite.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 from .exactalg import (
@@ -89,70 +91,56 @@ class DeltaComplex:
             return (index,)
         return self.simplices[dim - 1][index]
 
-    @property
-    def _index_tables(self) -> tuple[dict, ...]:
-        tables = self.__dict__.get("_index_cache")
-        if tables is None:
-            tables = []
-            for d in range(1, self.dimension + 1):
-                table: dict[tuple[int, ...], int] = {}
-                for i, tup in enumerate(self.simplices[d - 1]):
-                    if d < self.dimension and tup in table:
-                        raise ValueError(
-                            f"ambiguous face lookup: duplicate {d}-simplex tuple {tup}")
-                    if tup not in table:
-                        table[tup] = i
-                tables.append(table)
-            tables = tuple(tables)
-            self.__dict__["_index_cache"] = tables
-        return tables
+    @cached_property
+    def _index_tables(self) -> tuple[dict[tuple[int, ...], int], ...]:
+        """tables[d-1] maps each d-simplex's vertex tuple to its index."""
+        tables = []
+        for d in range(1, self.dimension + 1):
+            table: dict[tuple[int, ...], int] = {}
+            for i, tup in enumerate(self.simplices[d - 1]):
+                if d < self.dimension and tup in table:
+                    raise ValueError(
+                        f"ambiguous face lookup: duplicate {d}-simplex tuple {tup}")
+                table.setdefault(tup, i)
+            tables.append(table)
+        return tuple(tables)
 
-    @property
+    @cached_property
     def _face_tables(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """faces[d-1][i] = indices of the d+1 faces of the i-th d-simplex."""
-        tables = self.__dict__.get("_face_cache")
-        if tables is None:
-            idx = self._index_tables
-            out = []
-            for d in range(1, self.dimension + 1):
-                level = []
-                for tup in self.simplices[d - 1]:
-                    faces = []
-                    for i in range(d + 1):
-                        sub = tup[:i] + tup[i + 1:]
-                        if d == 1:
-                            faces.append(sub[0])
-                        else:
-                            j = idx[d - 2].get(sub)
-                            if j is None:
-                                raise ValueError(
-                                    f"face {sub} of {tup} is not a registered {d-1}-simplex")
-                            faces.append(j)
-                    level.append(tuple(faces))
-                out.append(tuple(level))
-            tables = tuple(out)
-            self.__dict__["_face_cache"] = tables
-        return tables
+        out = []
+        for d in range(1, self.dimension + 1):
+            level = []
+            for tup in self.simplices[d - 1]:
+                faces = []
+                for i in range(d + 1):
+                    sub = tup[:i] + tup[i + 1:]
+                    if d == 1:
+                        faces.append(sub[0])
+                    else:
+                        j = self._index_tables[d - 2].get(sub)
+                        if j is None:
+                            raise ValueError(
+                                f"face {sub} of {tup} is not a registered {d-1}-simplex")
+                        faces.append(j)
+                level.append(tuple(faces))
+            out.append(tuple(level))
+        return tuple(out)
 
     def faces(self, dim: int, index: int) -> tuple[int, ...]:
         return self._face_tables[dim - 1][index]
 
-    def face(self, dim: int, index: int, i: int) -> int:
-        return self._face_tables[dim - 1][index][i]
-
     def subface(self, dim: int, index: int, start: int, end: int) -> int:
-        """Index of the face spanning tuple positions start..end inclusive."""
-        cur_dim, cur = dim, index
-        while cur_dim > end - start:
-            if cur_dim > end:
-                cur = self.face(cur_dim, cur, cur_dim)  # drop last vertex
-                cur_dim -= 1
-            else:
-                cur = self.face(cur_dim, cur, 0)  # drop first vertex
-                cur_dim -= 1
-                start -= 1
-                end -= 1
-        return cur
+        """Index of the face spanning tuple positions start..end inclusive.
+
+        A proper face is looked up by its vertex tuple, which is unique
+        below the top dimension."""
+        if end - start == dim:
+            return index
+        sub = self.simplex(dim, index)[start:end + 1]
+        if end == start:
+            return sub[0]
+        return self._index_tables[end - start - 1][sub]
 
     def euler_characteristic(self) -> int:
         chi = self.vertex_count
@@ -193,12 +181,6 @@ def json_int(v, name: str) -> int:
     if type(v) is not int:
         raise ValueError(f"{name}: expected an integer, not {json.dumps(v)}")
     return v
-
-
-def validate_complex(x: DeltaComplex) -> bool:
-    """Construction already validates; kept as an explicit entry point."""
-    x._face_tables
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +318,6 @@ class TwistedCochain:
         if self.system is not None and self.system.base != self.base:
             raise BaseMismatch("cochain system lives over a different complex")
 
-    def map_values(self, f) -> "TwistedCochain":
-        return TwistedCochain(self.base, self.degree, tuple(f(v) for v in self.values),
-                              self.system, self.modulus)
-
     def __add__(self, other: "TwistedCochain") -> "TwistedCochain":
         self._check_compatible(other)
         vals = tuple(a + b for a, b in zip(self.values, other.values))
@@ -382,6 +360,25 @@ def is_cocycle(c: TwistedCochain) -> bool:
     return coboundary(c).is_zero()
 
 
+def _cup_terms(a: TwistedCochain, q: int, right_system: System):
+    """(s, back, a(front) * w) for each (p+q)-simplex s with a(front) != 0,
+    where front and back are its front p-face and back q-face and w is the
+    product of the transport signs of ``right_system`` along its first p
+    edges.  The cup product and its matrix both read these terms."""
+    x = a.base
+    p = a.degree
+    k = p + q
+    bsys = system_key(right_system)
+    for s in range(x.count(k)):
+        av = a.values[x.subface(k, s, 0, p)]
+        if av == 0:
+            continue
+        if bsys:
+            for j in range(p):
+                av *= bsys[x.subface(k, s, j, j + 1)]
+        yield s, x.subface(k, s, p, k), av
+
+
 def cup(a: TwistedCochain, b: TwistedCochain) -> TwistedCochain:
     """Alexander-Whitney product with local-system transport.
 
@@ -393,50 +390,37 @@ def cup(a: TwistedCochain, b: TwistedCochain) -> TwistedCochain:
         raise BaseMismatch("cup factors live over different complexes")
     if a.modulus != b.modulus:
         raise BaseMismatch("cup factors have different coefficients")
-    x = a.base
-    p, q = a.degree, b.degree
-    k = p + q
-    out_system = tensor(a.system, b.system)
-    if k > x.dimension:
-        return TwistedCochain(x, k, (), out_system, a.modulus)
-    vals = []
-    bsys = system_key(b.system)
-    for s in range(x.count(k)):
-        front = x.subface(k, s, 0, p)
-        back = x.subface(k, s, p, k)
-        w = 1
-        if bsys:
-            for j in range(p):
-                w *= bsys[x.subface(k, s, j, j + 1)]
-        v = a.values[front] * w * b.values[back]
-        vals.append(v % a.modulus if a.modulus else v)
-    return TwistedCochain(x, k, tuple(vals), out_system, a.modulus)
+    k = a.degree + b.degree
+    vals = [0] * a.base.count(k)
+    for s, back, c in _cup_terms(a, b.degree, b.system):
+        v = c * b.values[back]
+        vals[s] = v % a.modulus if a.modulus else v
+    return TwistedCochain(a.base, k, tuple(vals), tensor(a.system, b.system), a.modulus)
 
 
 def cup_matrix_left(a: TwistedCochain, q: int, right_system: System) -> IntMatrix:
     """Matrix of b -> a cup b on q-cochains twisted by ``right_system``."""
     x = a.base
-    p = a.degree
-    k = p + q
+    n_to = x.count(a.degree + q)
     if q < 0:
-        return IntMatrix.zeros(x.count(k), 0)
-    n_from = x.count(q)
-    n_to = x.count(k)
-    rows = [[0] * n_from for _ in range(n_to)]
-    if n_to and k <= x.dimension:
-        bsys = system_key(right_system)
-        for s in range(n_to):
-            front = x.subface(k, s, 0, p)
-            av = a.values[front]
-            if av == 0:
-                continue
-            back = x.subface(k, s, p, k)
-            w = 1
-            if bsys:
-                for j in range(p):
-                    w *= bsys[x.subface(k, s, j, j + 1)]
-            rows[s][back] += av * w
-    return IntMatrix.from_rows(rows, cols=n_from)
+        return IntMatrix.zeros(n_to, 0)
+    rows = [[0] * x.count(q) for _ in range(n_to)]
+    for s, back, c in _cup_terms(a, q, right_system):
+        rows[s][back] += c
+    return IntMatrix.from_rows(rows, cols=x.count(q))
+
+
+def half_coboundary(d: IntMatrix, lift: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """d(lift) / 2, or None when d(lift) is odd somewhere.
+
+    For a {0, +-1} lift of a mod-2 cochain, d(lift) is even exactly when
+    that cochain is a mod-2 cocycle, and half of it represents the
+    integral Bockstein of its class.
+    """
+    v = d.mul_vec(lift)
+    if any(x % 2 for x in v):
+        return None
+    return tuple(x // 2 for x in v)
 
 
 def bockstein(c: TwistedCochain, lift_negative: bool = False) -> TwistedCochain:
@@ -444,15 +428,12 @@ def bockstein(c: TwistedCochain, lift_negative: bool = False) -> TwistedCochain:
     integer values, take the untwisted coboundary, halve."""
     if c.modulus != 2:
         raise ValueError("bockstein expects a mod-2 cochain")
-    if not coboundary(c).is_zero():
-        raise NotACocycle("bockstein input must be a mod-2 cocycle")
     lift_val = -1 if lift_negative else 1
-    lift = TwistedCochain(c.base, c.degree,
-                          tuple(lift_val if v % 2 else 0 for v in c.values), None, None)
-    d = coboundary(lift)
-    if any(v % 2 for v in d.values):
-        raise NotACocycle("coboundary of the lift is not even")
-    return d.map_values(lambda v: v // 2)
+    half = half_coboundary(coboundary_matrix(c.base, c.degree),
+                           [lift_val if v % 2 else 0 for v in c.values])
+    if half is None:
+        raise NotACocycle("bockstein input must be a mod-2 cocycle")
+    return TwistedCochain(c.base, c.degree + 1, half)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from math import gcd
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -555,13 +554,10 @@ class PresentedGroup:
 
     ambient_rank: int
     relations: IntMatrix
-    generator_labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         if self.relations.cols != self.ambient_rank:
             raise ValueError("relation width must equal ambient rank")
-        if self.generator_labels is not None and len(self.generator_labels) != self.ambient_rank:
-            raise ValueError("label count mismatch")
 
 
 def normal_form(g: PresentedGroup) -> FGAbelianGroup:
@@ -767,20 +763,6 @@ def homology_rank_at(d_in: IntMatrix, d_out: IntMatrix) -> int:
     if not d_out.mul(d_in).is_zero():
         raise CompositionNotZero("d_out . d_in != 0")
     return d_in.rows - rank_of(d_out) - rank_of(d_in)
-
-
-def element_order(group: FGAbelianGroup, coords: Sequence[int]) -> Optional[int]:
-    """Order of the element with the given normal-form coordinates;
-    None when infinite."""
-    r = group.free_rank
-    if any(coords[i] for i in range(r)):
-        return None
-    n = 1
-    for c, d in zip(coords[r:], group.torsion):
-        c %= d
-        if c:
-            n = n * (d // gcd(d, c)) // gcd(n, d // gcd(d, c))
-    return n
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], m: int) -> tuple[int, ...]:

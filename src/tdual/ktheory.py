@@ -16,13 +16,14 @@ from itertools import product
 from math import gcd
 from typing import Union
 
-from .bundles import BundleDescriptor, TotalCochain, TotalComplex
+from .bundles import BundleDescriptor, TotalCochain, TotalComplex, pullback_cup
 from .complexes import (
     LocalSystem,
     System,
     TwistedCochain,
     coboundary_matrix,
     cup,
+    half_coboundary,
     is_coboundary,
 )
 from .exactalg import (
@@ -30,8 +31,8 @@ from .exactalg import (
     IntMatrix,
     NoSolution,
     PresentedGroup,
-    element_order,
     normal_form,
+    rank_of,
     solve_integer,
     solve_mod,
 )
@@ -148,20 +149,14 @@ def _total_cup_mod2(t1: TwistClass, t2: TwistClass) -> tuple[tuple[int, ...], tu
 def _total_bockstein_of_cup(t1: TwistClass, t2: TwistClass) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bockstein of w1 cup w2 on the total model: lift the mod-2 pair to a
     {0,1} integer pair, apply the integer total differential, halve."""
-    m = t1.bundle.base
     top, bottom = _total_cup_mod2(t1, t2)
-    model = TotalComplex(t1.bundle)
     # the product formula is only a cocycle when the fiber constants behave;
     # guard rather than return a wrong class
-    lift = TotalCochain(t1.bundle, 2, tuple(v % 2 for v in top),
-                        tuple(v % 2 for v in bottom), None)
-    d2_check = model.delta_matrix(2).mul_vec(lift.vector())
-    if any(v % 2 for v in d2_check):
+    half = half_coboundary(TotalComplex(t1.bundle).delta_matrix(2), top + bottom)
+    if half is None:
         raise UnsupportedTwist("cup product of the twists is not a mod-2 cocycle")
-    d = model.coboundary(lift)
-    if any(v % 2 for v in d.alpha) or any(v % 2 for v in d.beta):
-        raise UnsupportedTwist("integer lift has odd coboundary")
-    return tuple(v // 2 for v in d.alpha), tuple(v // 2 for v in d.beta)
+    n3 = t1.bundle.base.count(3)
+    return half[:n3], half[n3:]
 
 
 def same_twist_class(t1: TwistClass, t2: TwistClass) -> bool:
@@ -265,9 +260,10 @@ def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup,
 def ahss_k_groups(t: TwistClass) -> KGroups:
     """K-groups of the twisted total model via the filtration in dim <= 3.
 
-    With a nontrivial degree-1 twist the degree-zero row dies and no
-    differential acts; otherwise multiplication by -h acts on degree zero
-    and the kernel/cokernel enter K^0/K^1.  K^0 always splits because its
+    The degree-zero row is H^0 of the total model with coefficients
+    twisted by the degree-1 part w, one Z for each component of the base
+    on which w is trivial.  Multiplication by -h acts on it, and its
+    kernel and cokernel enter K^0 and K^1.  K^0 always splits because its
     degree-zero contribution is free; K^1 is an extension of H^1 by the
     degree-3 term and is reported ambiguous when both torsion and a
     nonzero subgroup are present.
@@ -291,30 +287,20 @@ def ahss_k_groups(t: TwistClass) -> KGroups:
     groups = [h[k].group if k <= model.dimension else FGAbelianGroup(0)
               for k in range(4)]
 
-    if not w_trivial:
-        k0 = groups[0].direct_sum(groups[2])
-        return KGroups(k0, _k1_extension(groups[3], groups[1]))
-
-    # trivial degree-1 twist: d3 = -h on degree zero
-    if model.dimension >= 3:
-        hclass = h[3].coordinates(t.flux_cochain().vector())
-        order = element_order(groups[3], hclass)
+    # d3 = -h on degree zero: the class of z h for each generator z of H^0
+    if model.dimension < 3:
+        kernel, coker = groups[0], FGAbelianGroup(0)
     else:
-        hclass = ()
-        order = 1
-    kernel = FGAbelianGroup(1) if order is not None else FGAbelianGroup(0)
-    if model.dimension >= 3:
-        h3_group = groups[3]
-        n3 = h3_group.free_rank + len(h3_group.torsion)
-        moduli = [0] * h3_group.free_rank + list(h3_group.torsion)
-        rows = [[m if i == j else 0 for j in range(n3)]
-                for i, m in enumerate(moduli) if m]
-        rows.append(list(hclass))
-        coker = normal_form(PresentedGroup(n3, IntMatrix.from_rows(rows, cols=n3)))
-    else:
-        coker = FGAbelianGroup(0)
-    k0 = kernel.direct_sum(groups[2])
-    return KGroups(k0, _k1_extension(coker, groups[1]))
+        flux = t.flux_cochain()
+        classes = [h[3].coordinates(pullback_cup(TwistedCochain(m, 0, z, zeta), flux).vector())
+                   for z in h[0].representatives]
+        r3 = groups[3].free_rank
+        free = IntMatrix.from_rows([c[:r3] for c in classes], cols=r3)
+        kernel = FGAbelianGroup(groups[0].free_rank - rank_of(free))
+        rel = groups[3].presentation()
+        coker = normal_form(PresentedGroup(rel.ambient_rank, IntMatrix.from_rows(
+            list(rel.relations.data) + classes, cols=rel.ambient_rank)))
+    return KGroups(kernel.direct_sum(groups[2]), _k1_extension(coker, groups[1]))
 
 
 def _mod2_cochain(m, k, values):

@@ -15,11 +15,12 @@ C^{*+2}(E), which acts as (gamma, rho) |-> (ehat ^ gamma, ehat ^ rho):
 
 The cup with ehat commutes with the differential of E's model only up to
 the commutator of the two Euler cocycles: the rho -> alpha entry of
-delta^2 is (ehat ^ e - e ^ ehat) ^ rho, a cochain of degree >= 4 on M.  It
-vanishes when the base has dimension <= 3, which the model therefore
-requires of its callers.  Every step returns exact integer certificates;
-nothing is checked only up to cohomology unless the statement itself is
-cohomological.
+delta^2 is (ehat ^ e - e ^ ehat) ^ rho, a cochain of degree >= 4 on M, so
+it vanishes on every base of dimension <= 3.  The model accepts the bases
+flux pairs live on, of dimension <= 2; there the C^{k-2}(M) summand is
+still used, by delta^2 and delta^3.  Every step returns exact integer
+certificates; nothing is checked only up to cohomology unless the
+statement itself is cohomological.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .complexes import (
     cone,
     cup,
     cup_matrix_left,
+    is_coboundary,
     is_same_z2_class,
     json_int,
     system_key,
@@ -139,8 +141,9 @@ class CorrespondenceComplex:
             raise BaseMismatch("bundles live over different bases")
         if system_key(e_bundle.xi) != system_key(ehat_bundle.xi):
             raise BaseMismatch("orientation cocycles differ; align first")
-        if e_bundle.base.dimension > 3:
-            raise BaseMismatch("correspondence model requires base dimension <= 3")
+        if e_bundle.base.dimension > 2:
+            raise ValueError("the correspondence complex needs a base of dimension <= 2, "
+                             f"not {e_bundle.base.dimension}")
         self.base = e_bundle.base
         self.xi = e_bundle.xi
         self.e_bundle = e_bundle
@@ -215,6 +218,13 @@ class Certificate:
                       "gamma": list(self.b.gamma), "rho": list(self.b.rho)}}
 
 
+def _discrepancy(pair: FluxPair, dual: FluxPair) -> tuple[CorrespondenceComplex, CorrCochain]:
+    """The correspondence complex of the two bundles and p^*(h) - phat^*(h_dual)
+    on it; ``dual`` must carry the same orientation cocycle as ``pair``."""
+    corr = CorrespondenceComplex(pair.bundle, dual.bundle)
+    return corr, corr.p_pull(pair.total_cochain()) - corr.phat_pull(dual.total_cochain())
+
+
 def construct_tdual(pair: FluxPair) -> tuple[FluxPair, Certificate]:
     """The T-dual pair and an exact certificate.
 
@@ -224,11 +234,8 @@ def construct_tdual(pair: FluxPair) -> tuple[FluxPair, Certificate]:
     gives a 2-cochain B with p^*(h) - phat^*(h_dual) = delta(B) exactly.
     """
     bundle = pair.bundle
-    ehat_bundle = BundleDescriptor(bundle.base, bundle.xi, pair.fhat)
-    dual = FluxPair(ehat_bundle, (), bundle.euler)
-
-    corr = CorrespondenceComplex(bundle, ehat_bundle)
-    d_flux = corr.p_pull(pair.total_cochain()) - corr.phat_pull(dual.total_cochain())
+    dual = FluxPair(BundleDescriptor(bundle.base, bundle.xi, pair.fhat), (), bundle.euler)
+    corr, d_flux = _discrepancy(pair, dual)
     if not corr.coboundary(d_flux).is_zero():
         raise InternalObstruction("discrepancy cochain is not closed")
     try:
@@ -271,35 +278,25 @@ def verify_tduality(pair: FluxPair, cand: FluxPair) -> TDualityReport:
     """Check the three duality axioms, returning per-axiom results."""
     if pair.bundle.base != cand.bundle.base:
         raise BaseMismatch("pairs live over different bases")
-    base = pair.bundle.base
     xi = pair.bundle.xi
 
-    ax1 = is_same_z2_class(pair.bundle.xi, cand.bundle.xi)
-    if not ax1:
+    if not is_same_z2_class(xi, cand.bundle.xi):
         return TDualityReport(False, False, False, False)
 
-    h2 = cohomology(base, xi)[2] if base.dimension >= 2 else None
+    ehat = align_xi_cochain(cand.bundle.euler_cochain(), xi)
+    cand_fhat = align_xi_cochain(cand.fhat_cochain(), xi)
+    ax2a = is_coboundary(pair.fhat_cochain() - ehat)
+    ax2b = is_coboundary(cand_fhat - pair.bundle.euler_cochain())
 
-    def h2_class(c: TwistedCochain) -> tuple[int, ...]:
-        if h2 is None:
-            return ()
-        return h2.coordinates(align_xi_cochain(c, xi).values)
-
-    ax2a = h2_class(pair.fhat_cochain()) == h2_class(cand.bundle.euler_cochain())
-    ax2b = h2_class(cand.fhat_cochain()) == h2_class(pair.bundle.euler_cochain())
-
-    ehat_aligned = BundleDescriptor(
-        base, xi, align_xi_cochain(cand.bundle.euler_cochain(), xi).values)
-    cand_fhat_aligned = align_xi_cochain(cand.fhat_cochain(), xi).values
-    cand_aligned = FluxPair(ehat_aligned, cand.h3, cand_fhat_aligned)
-    corr = CorrespondenceComplex(pair.bundle, ehat_aligned)
-    diff = corr.p_pull(pair.total_cochain()) - corr.phat_pull(cand_aligned.total_cochain())
+    cand_aligned = FluxPair(BundleDescriptor(pair.bundle.base, xi, ehat.values), cand.h3,
+                            cand_fhat.values)
+    corr, diff = _discrepancy(pair, cand_aligned)
     try:
         solve_integer(corr.delta_matrix(2), diff.vector())
         ax3 = True
     except NoSolution:
         ax3 = False
-    return TDualityReport(ax1, ax2a, ax2b, ax3)
+    return TDualityReport(True, ax2a, ax2b, ax3)
 
 
 def duals_equivalent(q1: FluxPair, q2: FluxPair) -> tuple[bool, Optional[TwistedCochain]]:

@@ -234,6 +234,13 @@ def test_same_bundle_under_sign_and_coboundary():
     shifted = BundleDescriptor(b.base, b.xi,
                                tuple(a + d for a, d in zip(b.euler, coboundary(t).values)))
     assert same_bundle(b, shifted)
+    assert same_bundle(neg, shifted)
+    assert same_bundle(b, build_bundle(info, info.xi(), -2))
+    for j in (0, 1, 3):
+        assert not same_bundle(b, build_bundle(info, info.xi(), j)), j
+    # a vacuous H^2
+    s1 = circle()
+    assert same_bundle(build_bundle(s1, s1.xi(), 0), build_bundle(s1, s1.xi(), 0))
 
 
 def test_distinct_bundles_over_oriented_base():

@@ -16,6 +16,7 @@ from tdual.complexes import (
     coboundary_matrix,
     cohomology,
     cup,
+    cup_matrix_left,
     homology,
     is_coboundary,
     poincare_duality_check,
@@ -26,6 +27,12 @@ from tdual.exactalg import FGAbelianGroup as FG
 
 SPACES = lambda: [circle(), torus(), klein_bottle(), sigma(1), sigma(2),
                   crosscap_sum(1), crosscap_sum(2), crosscap_sum(3)]
+
+SIMPLEX3 = DeltaComplex(4, (
+    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+    ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)),
+    ((0, 1, 2, 3),),
+))
 
 
 def rand_cochain(rng, x, k, system=None):
@@ -52,6 +59,31 @@ def test_duplicate_edge_tuples_rejected():
 def test_missing_face_rejected():
     with pytest.raises(ValueError):
         DeltaComplex(3, (((0, 1),), ((0, 1, 2),)))
+
+
+def walked_subface(x, dim, index, start, end):
+    """The face of positions start..end found by walking face tables one
+    dimension at a time, as ``DeltaComplex.subface`` once did."""
+    cur_dim, cur = dim, index
+    while cur_dim > end - start:
+        if cur_dim > end:
+            cur = x.faces(cur_dim, cur)[cur_dim]  # drop last vertex
+        else:
+            cur = x.faces(cur_dim, cur)[0]  # drop first vertex
+            start -= 1
+            end -= 1
+        cur_dim -= 1
+    return cur
+
+
+def test_subface_matches_the_face_walk():
+    for x in [info.complex for info in SPACES()] + [SIMPLEX3]:
+        for d in range(x.dimension + 1):
+            for i in range(x.count(d)):
+                for start in range(d + 1):
+                    for end in range(start, d + 1):
+                        assert x.subface(d, i, start, end) == \
+                            walked_subface(x, d, i, start, end), (x, d, i, start, end)
 
 
 def test_catalog_euler_characteristics():
@@ -223,6 +255,26 @@ def test_cup_leibniz_exact():
                 rhs = cup(coboundary(a), b)
                 sb = cup(a, coboundary(b)).scale(-1 if p % 2 else 1)
                 assert (lhs - (rhs + sb)).is_zero(), (info.name, p, q)
+
+
+def test_cup_matrix_left_agrees_with_cup():
+    rng = random.Random(4)
+    for info in SPACES():
+        x = info.complex
+        systems = (None, info.xi())
+        for modulus in (None, 2, 3):
+            for p in range(x.dimension + 1):
+                for q in range(x.dimension + 2 - p):
+                    for sa in systems:
+                        for sb in systems:
+                            a, b = (TwistedCochain(x, k, tuple(
+                                        rng.randrange(modulus) if modulus else rng.randint(-4, 4)
+                                        for _ in range(x.count(k))), s, modulus)
+                                    for k, s in ((p, sa), (q, sb)))
+                            expect = cup_matrix_left(a, q, sb).mul_vec(b.values)
+                            if modulus:
+                                expect = tuple(v % modulus for v in expect)
+                            assert cup(a, b).values == expect, (info.name, modulus, p, q)
 
 
 def test_cup_associative_at_cochain_level():

@@ -1,4 +1,5 @@
-"""Flux pairs live over bases of dimension <= 2.
+"""Flux pairs and the correspondence complex live over bases of
+dimension <= 2.
 
 The full 3-simplex, with a trivial orientation system and a zero Euler
 cocycle, is the smallest base above that bound: the library, the command
@@ -13,7 +14,7 @@ from tdual.bundles import BundleDescriptor
 from tdual.cli import main
 from tdual.complexes import DeltaComplex, LocalSystem
 from tdual.ktheory import DimensionTooHigh, TwistClass, ahss_k_groups
-from tdual.tduality import FluxPair
+from tdual.tduality import CorrespondenceComplex, FluxPair
 
 
 def simplex3_bundle() -> BundleDescriptor:
@@ -48,6 +49,12 @@ def test_cli_rejects_a_pair_over_a_three_dimensional_base(command, tmp_path, cap
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: "), err
     assert "dimension <= 2, not 3" in lines[0]
+
+
+def test_correspondence_complex_rejects_a_three_dimensional_base():
+    bundle = simplex3_bundle()
+    with pytest.raises(ValueError, match=r"dimension <= 2, not 3"):
+        CorrespondenceComplex(bundle, bundle)
 
 
 def test_k_groups_refuse_a_four_dimensional_total_model():

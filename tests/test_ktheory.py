@@ -2,6 +2,7 @@ import pytest
 
 from tdual.bundles import BundleDescriptor
 from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, sigma
+from tdual.complexes import DeltaComplex, LocalSystem
 from tdual.exactalg import FGAbelianGroup as FG
 from tdual.ktheory import (
     AmbiguousExtension,
@@ -19,7 +20,7 @@ from tdual.ktheory import (
     twist_inverse,
     twist_product,
 )
-from tdual.tduality import construct_tdual, small_twisted_cohomology
+from tdual.tduality import FluxPair, construct_tdual, small_twisted_cohomology
 
 
 def pair_for(info, j, k):
@@ -97,6 +98,64 @@ def test_klein_bottle_k_groups():
     assert (kg.K0, kg.K1) == (FG(1, (2,)), FG(1))
     kgx = ahss_k_groups(TwistClass.from_flux(p, True))
     assert (kgx.K0, kgx.K1) == (FG(1), FG(1, (2,)))
+
+
+def disjoint_union(p1: FluxPair, p2: FluxPair) -> FluxPair:
+    """The flux pair over the disjoint union of two bases of one dimension;
+    the second base's vertex ids follow the first's."""
+    x1, x2 = p1.bundle.base, p2.bundle.base
+    n = x1.vertex_count
+    levels = tuple(l1 + tuple(tuple(v + n for v in t) for t in l2)
+                   for l1, l2 in zip(x1.simplices, x2.simplices))
+    x = DeltaComplex(n + x2.vertex_count, levels)
+    xi = LocalSystem(x, p1.bundle.xi.edge_signs + p2.bundle.xi.edge_signs)
+    bundle = BundleDescriptor(x, xi, p1.bundle.euler + p2.bundle.euler)
+    return FluxPair(bundle, p1.h3 + p2.h3, p1.fhat + p2.fhat)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_k_groups_of_bare_vertices(n):
+    # E is n circles: K^0 = K^1 = Z^n, one Z per component
+    x = DeltaComplex(n, ())
+    pair = FluxPair(BundleDescriptor(x, LocalSystem(x, ()), ()), (), ())
+    kg = ahss_k_groups(TwistClass.from_flux(pair, False))
+    assert (kg.K0, kg.K1) == (FG(n), FG(n))
+
+
+@pytest.mark.parametrize("info, cells", [
+    (sigma(1), [(j, k) for j in (0, 1) for k in (0, 1)]),
+    (crosscap_sum(2), [(j, k) for j in range(4) for k in range(4)]),
+])
+def test_k_groups_of_a_disjoint_union_add(info, cells):
+    # two copies of the base with the same bundle, the flux on one copy
+    for j, k in cells:
+        p1, p2 = pair_for(info, j, k), pair_for(info, j, 0)
+        union = disjoint_union(p1, p2)
+        for xi_twist in (False, True):
+            kg = ahss_k_groups(TwistClass.from_flux(union, xi_twist))
+            kg1 = ahss_k_groups(TwistClass.from_flux(p1, xi_twist))
+            kg2 = ahss_k_groups(TwistClass.from_flux(p2, xi_twist))
+            assert kg.K0 == kg1.K0.direct_sum(kg2.K0), (j, k, xi_twist)
+            if kg.resolved and kg1.resolved and kg2.resolved:
+                assert kg.K1 == kg1.K1.direct_sum(kg2.K1), (j, k, xi_twist)
+
+
+def test_k_groups_with_a_degree_one_twist_on_one_component():
+    # w is the orientation class on the first copy and zero on the second,
+    # which carries the flux: d3 still acts on the second copy's H^0
+    info = crosscap_sum(2)
+    p1, p2 = pair_for(info, 1, 0), pair_for(info, 1, 1)
+    union = disjoint_union(p1, p2)
+    t1 = TwistClass.from_flux(p1, True)
+    t2 = TwistClass.from_flux(p2, False)
+    m = union.bundle.base
+    t = TwistClass(union.bundle, t1.w_base + t2.w_base, (0,) * m.count(0),
+                   union.h3, union.fhat)
+    kg, kg1, kg2 = ahss_k_groups(t), ahss_k_groups(t1), ahss_k_groups(t2)
+    assert kg.K0 == kg1.K0.direct_sum(kg2.K0)
+    if kg.resolved and kg1.resolved and kg2.resolved:
+        assert kg.K1 == kg1.K1.direct_sum(kg2.K1)
+    assert kg2.K0 != ahss_k_groups(TwistClass.from_flux(pair_for(info, 1, 0), False)).K0
 
 
 def test_oriented_base_k_tables_with_resolution():
