@@ -25,11 +25,16 @@ class InvalidXi(Exception):
     """The requested orientation class is not allowed for this space."""
 
 
-class JOutOfRange(Exception):
+class OutOfRange(ValueError):
+    """A catalog parameter outside its range: a genus or crosscap count
+    below 1, or an index j or k outside its group."""
+
+
+class JOutOfRange(OutOfRange):
     """Euler-class index outside the classifying group."""
 
 
-class KOutOfRange(Exception):
+class KOutOfRange(OutOfRange):
     """Flux index outside the flux group."""
 
 
@@ -335,7 +340,7 @@ def klein_bottle() -> SpaceInfo:
 @lru_cache(maxsize=64)
 def sigma(g: int) -> SpaceInfo:
     if g < 1:
-        raise ValueError("genus must be >= 1")
+        raise OutOfRange("genus must be >= 1")
     word: list[tuple[str, int]] = []
     for i in range(1, g + 1):
         word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
@@ -345,7 +350,7 @@ def sigma(g: int) -> SpaceInfo:
 @lru_cache(maxsize=64)
 def crosscap_sum(n: int) -> SpaceInfo:
     if n < 1:
-        raise ValueError("need at least one crosscap")
+        raise OutOfRange("need at least one crosscap")
     word: list[tuple[str, int]] = []
     for i in range(1, n + 1):
         word += [(f"a{i}", 1), (f"a{i}", 1)]

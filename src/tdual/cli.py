@@ -8,7 +8,8 @@ flux pairs over a base of dimension <= 2 as {"bundle":..., "H3": [],
 "Fhat":..., "H3":...}.  Exit status is zero exactly when every check run
 by the command passes, 1 when a check fails, and 2 when an input file is
 missing, unreadable, not JSON, shaped wrongly for its type or rejected by
-the library's loader (reported as one ``error:`` line).
+the library's loader, or when an argument is out of range (reported as one
+``error:`` line).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .bundles import BundleDescriptor, total_cohomology
+from .catalog import OutOfRange
 from .complexes import BaseMismatch, DeltaComplex, LocalSystem, cohomology
 from .courant import EquivariantContext, run_context_checks
 from .fixtures import all_fixtures
@@ -111,7 +113,10 @@ def cmd_tables(args) -> int:
     if kind == "crosscap" and args.n is None:
         print("error: --n is required for crosscap", file=sys.stderr)
         return 2
-    report = run_pipeline(kind, param or 0, args.j, args.k)
+    try:
+        report = run_pipeline(kind, param or 0, args.j, args.k)
+    except OutOfRange as e:  # genus, crosscap count, j or k
+        raise InputError(e) from None
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     elif args.format == "csv":
@@ -132,6 +137,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_courant_check(args) -> int:
+    if args.sections < 1:
+        raise InputError(f"--sections must be at least 1, not {args.sections}")
     ctx = _load(args.context, EquivariantContext.from_json_dict)
     report = run_context_checks(ctx, sections=args.sections, seed=args.seed)
     print(report)

@@ -17,9 +17,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
+from .complexes import json_int
 from .fourier import Form, FourierScalar, VectorField, form_primitive, lie_derivative
 
-Rat = Fraction
+
+def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
+    """(w - deck^* w) / 2."""
+    return (w - w.pullback(deck_a, deck_two_b)).scale_rat(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -109,7 +113,7 @@ class EquivariantContext:
         return (w + self.pullback_form(w)).scale_rat(Fraction(1, 2))
 
     def anti_invariant_part(self, w: Form) -> Form:
-        return (w - self.pullback_form(w)).scale_rat(Fraction(1, 2))
+        return _anti_invariant(w, self.deck_a, self.deck_two_b)
 
     def is_invariant(self, w: Form) -> bool:
         return (self.pullback_form(w) - w).is_zero()
@@ -128,9 +132,9 @@ class EquivariantContext:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "EquivariantContext":
-        d = int(obj["dim"])
+        d = json_int(obj["dim"], "dim")
         deck = obj.get("deck", {})
-        a_rows = tuple(tuple(int(v) for v in r)
+        a_rows = tuple(tuple(json_int(v, "deck.A") for v in r)
                        for r in deck.get("A", [[1 if i == j else 0 for j in range(d)]
                                                for i in range(d)]))
         two_b = []
@@ -142,13 +146,10 @@ class EquivariantContext:
         a = Form.from_json_list(d + 1, obj.get("a", []))
         fhat = Form.from_json_list(d + 1, obj.get("Fhat", []))
         h3 = Form.from_json_list(d + 1, obj.get("H3", []))
-        ctx_ahat = form_primitive(fhat) if not fhat.is_zero() else Form.zero(d + 1)
-        if not ctx_ahat.is_zero():
-            # pick the anti-invariant primitive: the flux is anti-invariant,
-            # so the projection still differentiates to it
-            ctx_ahat = (ctx_ahat - ctx_ahat.pullback(a_rows, tuple(two_b))) \
-                .scale_rat(Fraction(1, 2))
-        return EquivariantContext(d, a_rows, tuple(two_b), a, ctx_ahat, h3)
+        # pick the anti-invariant primitive: the flux is anti-invariant, so
+        # the projection still differentiates to it
+        ahat = _anti_invariant(form_primitive(fhat), a_rows, tuple(two_b))
+        return EquivariantContext(d, a_rows, tuple(two_b), a, ahat, h3)
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,10 @@ class CourantReport:
 def run_context_checks(ctx: EquivariantContext, sections: int = 12,
                        seed: int = 7, label: str = "") -> CourantReport:
     """All bracket axioms, the derived-bracket identity, the swap
-    intertwiner and the form-level transform identities on random data."""
+    intertwiner and the form-level transform identities on random data;
+    ``ValueError`` unless ``sections`` is positive."""
+    if sections < 1:
+        raise ValueError(f"sections must be at least 1, not {sections}")
     rng = random.Random(seed)
     cd = ctx.cover_dim
     checks = []
@@ -498,24 +502,20 @@ def standard_contexts() -> list[tuple[str, EquivariantContext]]:
     cd = 3
     shift = ((1, 0), (0, 1))
     two_b = (1, 0)
-
-    def anti(form: Form, deck, tb) -> Form:
-        return (form - form.pullback(deck, tb)).scale_rat(Fraction(1, 2))
-
     ctxs = []
 
     # half-shift deck, flat connection, exact anti-invariant flux
     ahat = Form.dx(cd, 1, FourierScalar.cos_wave((1, 0)))
     ctx = EquivariantContext(d, shift, two_b, Form.zero(cd),
-                             anti(ahat, shift, two_b), Form.zero(cd))
+                             _anti_invariant(ahat, shift, two_b), Form.zero(cd))
     ctxs.append(("half-shift, flat connection, cosine flux", ctx))
 
     # half-shift deck, both curvatures nonzero
     a = Form.dx(cd, 1, FourierScalar.sin_wave((1, 0), 2))
     ahat2 = Form.dx(cd, 1, FourierScalar.cos_wave((1, 0))) \
         + Form.dx(cd, 0, FourierScalar.sin_wave((1, 2)))
-    ctx = EquivariantContext(d, shift, two_b, anti(a, shift, two_b),
-                             anti(ahat2, shift, two_b), Form.zero(cd))
+    ctx = EquivariantContext(d, shift, two_b, _anti_invariant(a, shift, two_b),
+                             _anti_invariant(ahat2, shift, two_b), Form.zero(cd))
     assert not ctx.curvature().is_zero() and not ctx.flux_fhat().is_zero()
     ctxs.append(("half-shift, curved connection and flux", ctx))
 
@@ -523,7 +523,7 @@ def standard_contexts() -> list[tuple[str, EquivariantContext]]:
     refl = ((1, 0), (0, -1))
     ahat3 = Form.dx(cd, 0, FourierScalar.cos_wave((1, 1)))
     ctx = EquivariantContext(d, refl, two_b, Form.zero(cd),
-                             anti(ahat3, refl, two_b), Form.zero(cd))
+                             _anti_invariant(ahat3, refl, two_b), Form.zero(cd))
     assert not ctx.flux_fhat().is_zero()
     ctxs.append(("reflection deck, mixed-mode flux", ctx))
 
@@ -532,8 +532,8 @@ def standard_contexts() -> list[tuple[str, EquivariantContext]]:
         + Form.dx(cd, 0, FourierScalar.cos_wave((1, -1)))
     a4 = Form.dx(cd, 0, FourierScalar.cos_wave((1, 2), 3)) \
         + Form.dx(cd, 1, FourierScalar.cos_wave((1, 0), 3))
-    ctx = EquivariantContext(d, shift, two_b, anti(a4, shift, two_b),
-                             anti(ahat4, shift, two_b), Form.zero(cd))
+    ctx = EquivariantContext(d, shift, two_b, _anti_invariant(a4, shift, two_b),
+                             _anti_invariant(ahat4, shift, two_b), Form.zero(cd))
     assert not ctx.curvature().is_zero() and not ctx.flux_fhat().is_zero()
     ctxs.append(("half-shift, mixed-frequency potentials", ctx))
     return ctxs

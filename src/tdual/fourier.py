@@ -10,44 +10,29 @@ Forms carry a component scalar per coordinate subset of the cover
 T^{d+1}, whose last coordinate is the fiber angle; all coefficients are
 independent of the fiber coordinate.  The JSON schema is the Gaussian
 full spectrum: one {"freq", "re", "im"} entry per nonzero coefficient at
-k and at -k.
+k and at -k.  ``FourierScalar.from_json_list`` is the one place such a
+spectrum enters, and the one place its reality is checked; there is no
+Gaussian-rational type (``GaussQ`` is gone).  Form and vector-field
+operations emit (key, integer, scalar) pieces and sum each key once
+(``_form`` over ``_lincomb``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations, product
+from math import gcd, lcm, prod
 from operator import add, mul, neg, sub
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .complexes import json_int
 
 Rat = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class GaussQ:
-    """Gaussian rational a + b*i with exact components."""
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def of(re: Rat = 0, im: Rat = 0) -> "GaussQ":
-        return GaussQ(Fraction(re), Fraction(im))
-
-    def conj(self) -> "GaussQ":
-        return GaussQ(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-
-_ZERO = GaussQ(Fraction(0), Fraction(0))
-
 Term = tuple[tuple[int, ...], int, int]
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
+@dataclass(unsafe_hash=True, slots=True)
 class FourierScalar:
     """Real finite Fourier sum over Z^dim,
 
@@ -59,43 +44,14 @@ class FourierScalar:
     together, so equal scalars have equal fields.  In Gaussian terms the coefficient
     at k != 0 is (a - b i) / (2 den) and the one at -k its conjugate.
 
-    ``FourierScalar(dim, terms)`` takes the Gaussian full spectrum as
-    (k, GaussQ) pairs and raises ``ValueError`` unless it is real.
-    Operations pass their reduced half spectrum and its denominator as a
-    third argument, which is not checked; see ``_scalar``.  Scalars are
-    never mutated, so they hash by their fields.
+    Operations build scalars through ``_scalar``, which reduces; a Gaussian
+    full spectrum enters only through ``from_json_list``, which checks that
+    it is real.  Scalars are never mutated, so they hash by their fields.
     """
 
     dim: int
     terms: tuple[Term, ...]
     den: int
-
-    def __init__(self, dim: int, terms, _den: Optional[int] = None) -> None:
-        self.dim = dim
-        if _den is not None:
-            self.terms = terms
-            self.den = _den
-            return
-        coeff = dict(terms)
-        zero = (0,) * dim
-        half = []
-        for k, c in terms:
-            if len(k) != dim:
-                raise ValueError("frequency arity mismatch")
-            if coeff.get(tuple(map(neg, k)), _ZERO) != c.conj():
-                raise ValueError("reality violated: coefficient at -k must conjugate")
-            if k > zero:
-                half.append((k, 2 * Fraction(c.re), -2 * Fraction(c.im)))
-            elif k == zero:
-                half.append((k, Fraction(c.re), Fraction(0)))
-        den = lcm(*(x.denominator for _, re, im in half for x in (re, im)))
-        self.terms, self.den = _reduce(sorted(
-            (k, int(re * den), int(im * den)) for k, re, im in half if re or im), den)
-
-    @staticmethod
-    def make(dim: int, mapping: Mapping[tuple[int, ...], GaussQ]) -> "FourierScalar":
-        items = tuple(sorted((k, c) for k, c in mapping.items() if c))
-        return FourierScalar(dim, items)
 
     @staticmethod
     def zero(dim: int) -> "FourierScalar":
@@ -118,27 +74,10 @@ class FourierScalar:
         return not self.terms
 
     def __add__(self, o: "FourierScalar") -> "FourierScalar":
-        return self._combine(o, 1)
+        return _lincomb(self.dim, ((1, self), (1, o)))
 
     def __sub__(self, o: "FourierScalar") -> "FourierScalar":
-        return self._combine(o, -1)
-
-    def _combine(self, o: "FourierScalar", sign: int) -> "FourierScalar":
-        """self + sign * o over the least common denominator."""
-        if not o.terms:
-            return self
-        d1, d2 = self.den, o.den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, sign * (d1 // g)
-        acc = {k: [a * m1, b * m1] for k, a, b in self.terms}
-        for k, a, b in o.terms:
-            p = acc.get(k)
-            if p is None:
-                acc[k] = [a * m2, b * m2]
-            else:
-                p[0] += a * m2
-                p[1] += b * m2
-        return _collect(self.dim, acc, d1 * m1)
+        return _lincomb(self.dim, ((1, self), (-1, o)))
 
     def __mul__(self, o: "FourierScalar") -> "FourierScalar":
         # Product to sum: with x = a1 a2, y = b1 b2, u = a1 b2, v = b1 a2,
@@ -220,10 +159,10 @@ class FourierScalar:
                 p[1] += b
         return _collect(self.dim, acc, self.den)
 
-    def constant_term(self) -> GaussQ:
+    def constant_term(self) -> Fraction:
         if self.terms and not any(self.terms[0][0]):
-            return GaussQ.of(Fraction(self.terms[0][1], self.den))
-        return _ZERO
+            return Fraction(self.terms[0][1], self.den)
+        return Fraction(0)
 
     def to_json_list(self) -> list:
         full = []
@@ -240,11 +179,28 @@ class FourierScalar:
 
     @staticmethod
     def from_json_list(dim: int, items: list) -> "FourierScalar":
-        acc = {}
+        """The scalar with Gaussian coefficient re + i im at each ``freq``;
+        ``ValueError`` unless every nonzero one has ``dim`` entries and the
+        coefficient at -k is the conjugate of the one at k."""
+        coeff = {}
         for item in items:
-            k = tuple(int(v) for v in item["freq"])
-            acc[k] = GaussQ(Fraction(item["re"]), Fraction(item.get("im", "0")))
-        return FourierScalar.make(dim, acc)
+            k = tuple(json_int(v, "freq") for v in item["freq"])
+            coeff[k] = (Fraction(item["re"]), Fraction(item.get("im", "0")))
+        zero = (0,) * dim
+        half = []
+        for k, (re, im) in sorted(coeff.items()):
+            if not (re or im):
+                continue
+            if len(k) != dim:
+                raise ValueError("frequency arity mismatch")
+            if coeff.get(tuple(map(neg, k)), (0, 0)) != (re, -im):
+                raise ValueError("reality violated: coefficient at -k must conjugate")
+            if k > zero:
+                half.append((k, 2 * re, -2 * im))
+            elif k == zero:
+                half.append((k, re, im))
+        den = lcm(*(x.denominator for _, re, im in half for x in (re, im)))
+        return _scalar(dim, [(k, int(re * den), int(im * den)) for k, re, im in half], den)
 
 
 def _reduce(items: list[Term], den: int) -> tuple[tuple[Term, ...], int]:
@@ -269,6 +225,29 @@ def _collect(dim: int, acc: dict, den: int) -> FourierScalar:
     return _scalar(dim, sorted((k, a, b) for k, (a, b) in acc.items() if a or b), den)
 
 
+def _lincomb(dim: int, pairs: Iterable[tuple[int, FourierScalar]]) -> FourierScalar:
+    """The sum of c * s over (integer c, scalar s) pairs, taken over the
+    least common denominator and reduced once."""
+    pairs = [(c, s) for c, s in pairs if c and s.terms]
+    if not pairs:
+        return FourierScalar.zero(dim)
+    if len(pairs) == 1 and pairs[0][0] == 1:
+        return pairs[0][1]
+    den = lcm(*(s.den for _, s in pairs))
+    acc: dict[tuple[int, ...], list[int]] = {}
+    get = acc.get
+    for c, s in pairs:
+        m = c * (den // s.den)
+        for k, a, b in s.terms:
+            p = get(k)
+            if p is None:
+                acc[k] = [a * m, b * m]
+            else:
+                p[0] += a * m
+                p[1] += b * m
+    return _collect(dim, acc, den)
+
+
 def _wave(freq: Sequence[int], amp: Rat, sine: bool) -> FourierScalar:
     """amp * cos(2pi k.x) or amp * sin(2pi k.x), k flipped into the upper half."""
     k = tuple(int(v) for v in freq)
@@ -288,19 +267,14 @@ def _wave(freq: Sequence[int], amp: Rat, sine: bool) -> FourierScalar:
 Key = tuple[int, ...]
 
 
-def _insert_sign(key: Key, j: int) -> tuple[Optional[Key], int]:
-    """Sorted insertion of index j into dx_key; None when j already there."""
-    if j in key:
-        return None, 0
-    pos = sum(1 for s in key if s < j)
-    new = tuple(sorted(key + (j,)))
-    return new, -1 if pos % 2 else 1
-
-
 def _delete_sign(key: Key, j: int) -> tuple[Key, int]:
     pos = key.index(j)
-    new = key[:pos] + key[pos + 1:]
-    return new, -1 if pos % 2 else 1
+    return key[:pos] + key[pos + 1:], -1 if pos % 2 else 1
+
+
+def _sort_sign(seq: Sequence[int]) -> int:
+    """The sign of the permutation that sorts the distinct entries of seq."""
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -354,21 +328,17 @@ class Form:
     def degrees(self) -> set[int]:
         return {len(k) for k, _ in self.components}
 
-    def degree_part(self, p: int) -> "Form":
-        return Form.make(self.cover_dim,
-                         {k: f for k, f in self.components if len(k) == p})
+    def _pieces(self, c: int) -> list[tuple[Key, int, FourierScalar]]:
+        return [(k, c, f) for k, f in self.components]
 
     def __add__(self, o: "Form") -> "Form":
-        acc = dict(self.components)
-        for k, f in o.components:
-            acc[k] = acc.get(k, FourierScalar.zero(f.dim)) + f
-        return Form.make(self.cover_dim, acc)
+        return _form(self.cover_dim, self._pieces(1) + o._pieces(1))
 
     def __sub__(self, o: "Form") -> "Form":
-        return self + o.scale_rat(-1)
+        return _form(self.cover_dim, self._pieces(1) + o._pieces(-1))
 
     def __neg__(self) -> "Form":
-        return self.scale_rat(-1)
+        return _form(self.cover_dim, self._pieces(-1))
 
     def scale_rat(self, c: Rat) -> "Form":
         return Form.make(self.cover_dim, {k: f.scale(c) for k, f in self.components})
@@ -377,67 +347,39 @@ class Form:
         return Form.make(self.cover_dim, {k: g * f for k, f in self.components})
 
     def wedge(self, o: "Form") -> "Form":
-        acc: dict[Key, FourierScalar] = {}
-        for k1, f1 in self.components:
-            for k2, f2 in o.components:
-                if set(k1) & set(k2):
-                    continue
-                merged = tuple(sorted(k1 + k2))
-                # sign of sorting the concatenation k1 + k2
-                sign = 1
-                seq = list(k1 + k2)
-                for i in range(len(seq)):
-                    for j in range(i + 1, len(seq)):
-                        if seq[i] > seq[j]:
-                            sign = -sign
-                val = (f1 * f2).scale(sign)
-                acc[merged] = acc.get(merged, FourierScalar.zero(f1.dim)) + val
-        return Form.make(self.cover_dim, acc)
+        return _form(self.cover_dim, [
+            (tuple(sorted(k1 + k2)), _sort_sign(k1 + k2), f1 * f2)
+            for k1, f1 in self.components for k2, f2 in o.components
+            if not set(k1) & set(k2)])
 
     def d(self) -> "Form":
-        acc: dict[Key, FourierScalar] = {}
-        base_dim = self.cover_dim - 1
-        for key, f in self.components:
-            for j in range(base_dim):  # the fiber coordinate never appears
-                df = f.partial(j)
-                if df.is_zero():
-                    continue
-                new, sign = _insert_sign(key, j)
-                if new is None:
-                    continue
-                acc[new] = acc.get(new, FourierScalar.zero(base_dim)) + df.scale(sign)
-        return Form.make(self.cover_dim, acc)
+        # the fiber coordinate never appears
+        return _form(self.cover_dim, [
+            (tuple(sorted((j,) + key)), _sort_sign((j,) + key), f.partial(j))
+            for key, f in self.components for j in range(self.cover_dim - 1) if j not in key])
 
     def interior(self, vf: "VectorField") -> "Form":
-        acc: dict[Key, FourierScalar] = {}
+        pieces = []
         for key, f in self.components:
             for j in key:
-                comp = vf.components[j]
-                if comp.is_zero():
-                    continue
                 new, sign = _delete_sign(key, j)
-                acc[new] = acc.get(new, FourierScalar.zero(f.dim)) + (comp * f).scale(sign)
-        return Form.make(self.cover_dim, acc)
+                pieces.append((new, sign, vf.components[j] * f))
+        return _form(self.cover_dim, pieces)
 
     def pullback(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "Form":
-        """Pullback along (x, theta) -> (Ax + b, -theta)."""
+        """Pullback along (x, theta) -> (Ax + b, -theta): dx_i goes to
+        sum_j A_ij dx_j and dtheta to -dtheta."""
         d = self.cover_dim - 1
-        out = Form.zero(self.cover_dim)
+        images = [[(j, a) for j, a in enumerate(row) if a] for row in a_rows] + [[(d, -1)]]
+        pieces = []
         for key, f in self.components:
-            piece = Form.scalar(self.cover_dim, f.compose_affine(a_rows, two_b))
-            for idx in key:
-                if idx == d:
-                    one_form = Form.dx(self.cover_dim, d,
-                                       FourierScalar.const(d, -1))
-                else:
-                    comp: dict[Key, FourierScalar] = {}
-                    for jj in range(d):
-                        if a_rows[idx][jj]:
-                            comp[(jj,)] = FourierScalar.const(d, a_rows[idx][jj])
-                    one_form = Form.make(self.cover_dim, comp)
-                piece = piece.wedge(one_form)
-            out = out + piece
-        return out
+            g = f.compose_affine(a_rows, two_b)
+            for choice in product(*(images[i] for i in key)):
+                js = tuple(j for j, _ in choice)
+                if len(set(js)) == len(js):
+                    pieces.append((tuple(sorted(js)),
+                                   _sort_sign(js) * prod(a for _, a in choice), g))
+        return _form(self.cover_dim, pieces)
 
     def to_json_list(self) -> list:
         return [{"dx": list(k), "waves": f.to_json_list()} for k, f in self.components]
@@ -446,9 +388,18 @@ class Form:
     def from_json_list(cover_dim: int, items: list) -> "Form":
         acc = {}
         for item in items:
-            key = tuple(int(v) for v in item["dx"])
+            key = tuple(json_int(v, "dx") for v in item["dx"])
             acc[key] = FourierScalar.from_json_list(cover_dim - 1, item["waves"])
         return Form.make(cover_dim, acc)
+
+
+def _form(cover_dim: int, pieces: Iterable[tuple[Key, int, FourierScalar]]) -> Form:
+    """The form sum of c * s dx_key over (key, integer c, scalar s) pieces,
+    each key summed by one ``_lincomb``."""
+    groups: dict[Key, list] = {}
+    for key, c, s in pieces:
+        groups.setdefault(key, []).append((c, s))
+    return Form.make(cover_dim, {k: _lincomb(cover_dim - 1, g) for k, g in groups.items()})
 
 
 @dataclass(frozen=True)
@@ -484,7 +435,8 @@ class VectorField:
                            tuple(a + b for a, b in zip(self.components, o.components)))
 
     def __sub__(self, o: "VectorField") -> "VectorField":
-        return self + o.scale_rat(-1)
+        return VectorField(self.cover_dim,
+                           tuple(a - b for a, b in zip(self.components, o.components)))
 
     def scale_rat(self, c: Rat) -> "VectorField":
         return VectorField(self.cover_dim, tuple(f.scale(c) for f in self.components))
@@ -494,35 +446,20 @@ class VectorField:
 
     def apply(self, f: FourierScalar) -> FourierScalar:
         """Directional derivative of a base scalar."""
-        out = FourierScalar.zero(f.dim)
-        for j in range(f.dim):  # fiber coordinate contributes nothing
-            out = out + self.components[j] * f.partial(j)
-        return out
+        # the fiber coordinate contributes nothing
+        return _lincomb(f.dim, [(1, self.components[j] * f.partial(j)) for j in range(f.dim)])
 
     def lie_bracket(self, o: "VectorField") -> "VectorField":
-        comps = []
-        base_dim = self.cover_dim - 1
-        for k in range(self.cover_dim):
-            acc = FourierScalar.zero(base_dim)
-            for j in range(base_dim):
-                acc = acc + self.components[j] * o.components[k].partial(j)
-                acc = acc - o.components[j] * self.components[k].partial(j)
-            comps.append(acc)
-        return VectorField(self.cover_dim, tuple(comps))
+        return VectorField(self.cover_dim, tuple(
+            self.apply(y) - o.apply(x) for x, y in zip(self.components, o.components)))
 
     def pushforward(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "VectorField":
         """Image under the deck map (x, theta) -> (Ax + b, -theta); for an
         involution this is also the pullback."""
         d = self.cover_dim - 1
-        comps = []
-        for i in range(d):
-            acc = FourierScalar.zero(d)
-            for j in range(d):
-                if a_rows[i][j]:
-                    acc = acc + self.components[j].compose_affine(a_rows, two_b).scale(a_rows[i][j])
-            comps.append(acc)
-        comps.append(-self.components[d].compose_affine(a_rows, two_b))
-        return VectorField(self.cover_dim, tuple(comps))
+        moved = [f.compose_affine(a_rows, two_b) for f in self.components]
+        return VectorField(self.cover_dim, tuple(
+            _lincomb(d, zip(row, moved)) for row in a_rows) + (-moved[d],))
 
 
 def lie_derivative(x: VectorField, w: Form) -> Form:
@@ -535,20 +472,17 @@ def form_primitive(w: Form) -> Form:
     frequency-wise contraction homotopy."""
     if not w.d().is_zero():
         raise ValueError("form is not closed")
-    acc: dict[Key, FourierScalar] = {}
-    base_dim = w.cover_dim - 1
+    pieces = []
     for key, f in w.components:
         for k, a, b in f.terms:
             j = next((idx for idx, v in enumerate(k) if v), None)
             if j is None:
                 raise ValueError("closed form has a constant mode; no primitive exists")
-            if j not in key:
-                continue
-            new, sign = _delete_sign(key, j)
-            # (a cos + b sin) / den is d/dx_j of (-b cos + a sin) / (k_j den)
-            term = _scalar(base_dim, [(k, -sign * b, sign * a)], f.den * k[j])
-            acc[new] = acc.get(new, FourierScalar.zero(base_dim)) + term
-    out = Form.make(w.cover_dim, acc)
+            if j in key:
+                new, sign = _delete_sign(key, j)
+                # (a cos + b sin) / den is d/dx_j of (-b cos + a sin) / (k_j den)
+                pieces.append((new, sign, _scalar(f.dim, [(k, -b, a)], f.den * k[j])))
+    out = _form(w.cover_dim, pieces)
     if not (out.d() - w).is_zero():
         raise ValueError("primitive construction failed")
     return out

@@ -100,6 +100,14 @@ def test_tables_command(capsys):
                  "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert '"K0"' in out
+    for argv, reason in ((["sigma", "--g", "0"], "genus must be >= 1"),
+                         (["crosscap", "--n", "-1"], "need at least one crosscap"),
+                         (["sigma", "--g", "2", "--j", "5"], "j must lie in range 0..1"),
+                         (["klein", "--k", "5"], "flux group is trivial; only k = 0 exists")):
+        assert main(["tables"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}\n"
 
 
 def test_fixtures_command_subset(capsys):
@@ -196,6 +204,15 @@ def test_courant_check_rejects_a_non_real_spectrum(tmp_path, capsys):
     assert_input_error(capsys, ["courant-check", str(path)], path, "reality violated")
 
 
+def test_courant_check_rejects_a_non_positive_section_count(tmp_path, capsys):
+    path = context_file(tmp_path, lambda obj: None)
+    for count in ("0", "-2"):
+        assert main(["courant-check", str(path), "--sections", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --sections must be at least 1, not {count}\n"
+
+
 def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
     def non_involutive(obj):
         obj["deck"]["A"] = [[1, 1], [0, 1]]
@@ -274,3 +291,28 @@ def test_loaders_reject_non_integers(tmp_path, capsys):
         edit(obj)
         path.write_text(json.dumps(obj))
         assert_input_error(capsys, ["tdual", str(path)], path, reason)
+
+
+def test_context_loader_rejects_non_integers(tmp_path, capsys):
+    def dx(obj):
+        obj["a"][0]["dx"] = [0.9]
+
+    def dim_float(obj):
+        obj["dim"] = 2.7
+
+    def dim_bool(obj):
+        obj["dim"] = True
+
+    def deck_entry(obj):
+        obj["deck"]["A"][0][0] = 1.0
+
+    def freq(obj):
+        obj["a"][0]["waves"][0]["freq"][0] = 1.0
+
+    for edit, reason in ((dx, "dx: expected an integer, not 0.9"),
+                         (dim_float, "dim: expected an integer, not 2.7"),
+                         (dim_bool, "dim: expected an integer, not true"),
+                         (deck_entry, "deck.A: expected an integer, not 1.0"),
+                         (freq, "freq: expected an integer, not 1.0")):
+        path = context_file(tmp_path, edit)
+        assert_input_error(capsys, ["courant-check", str(path)], path, reason)

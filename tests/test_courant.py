@@ -23,7 +23,7 @@ from tdual.courant import (
     standard_contexts,
     twisted_d,
 )
-from tdual.fourier import Form, FourierScalar, GaussQ, VectorField, form_primitive
+from tdual.fourier import Form, FourierScalar, VectorField, form_primitive
 
 CD = 3
 
@@ -55,7 +55,7 @@ def test_scalar_arithmetic_and_derivative():
 
 def test_reality_enforced():
     with pytest.raises(ValueError):
-        FourierScalar(2, (((1, 0), GaussQ.of(1, 1)),))
+        FourierScalar.from_json_list(2, [{"freq": [1, 0], "re": "1", "im": "1"}])
 
 
 def test_form_calculus():
@@ -303,3 +303,9 @@ def test_full_context_reports():
     for name, ctx in standard_contexts()[:2]:
         rep = run_context_checks(ctx, sections=3, seed=13, label=name)
         assert rep.ok, str(rep)
+
+
+@pytest.mark.parametrize("sections", [0, -1])
+def test_context_checks_need_a_section(sections):
+    with pytest.raises(ValueError, match="sections must be at least 1"):
+        run_context_checks(flux_context(), sections=sections)
