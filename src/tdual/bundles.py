@@ -185,9 +185,6 @@ class TotalComplex:
     def class_of(self, x: TotalCochain) -> tuple[int, ...]:
         return self.cohomology()[x.degree].coordinates(x.vector())
 
-    def group(self, k: int) -> FGAbelianGroup:
-        return self.cohomology()[k].group
-
 
 @lru_cache(maxsize=4096)
 def _total_delta(bundle: BundleDescriptor, zkey: tuple, k: int) -> IntMatrix:

@@ -243,10 +243,6 @@ class SpaceInfo:
     reversing_labels: frozenset[str]
     default_xi: frozenset[str]
 
-    @property
-    def labels(self) -> dict[str, tuple[int, ...]]:
-        return dict(self.label_edges)
-
     def xi(self, odd_labels: Optional[frozenset[str]] = None) -> LocalSystem:
         """The sign system whose holonomy is -1 exactly around the loops of
         ``odd_labels`` (default: the space's canonical choice)."""

@@ -356,10 +356,6 @@ def coboundary(c: TwistedCochain) -> TwistedCochain:
     return TwistedCochain(c.base, c.degree + 1, vals, c.system, c.modulus)
 
 
-def is_cocycle(c: TwistedCochain) -> bool:
-    return coboundary(c).is_zero()
-
-
 def _cup_terms(a: TwistedCochain, q: int, right_system: System):
     """(s, back, a(front) * w) for each (p+q)-simplex s with a(front) != 0,
     where front and back are its front p-face and back q-face and w is the

@@ -26,6 +26,11 @@ def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
     return (w - w.pullback(deck_a, deck_two_b)).scale_rat(Fraction(1, 2))
 
 
+def _check_base_dim(d: int) -> None:
+    if d < 1:
+        raise ValueError(f"base dimension must be at least 1, not {d}")
+
+
 @dataclass(frozen=True)
 class EquivariantContext:
     """Double-cover data for one side of the duality and its mirror."""
@@ -39,6 +44,9 @@ class EquivariantContext:
 
     def __post_init__(self) -> None:
         d = self.base_dim
+        _check_base_dim(d)
+        if len(self.deck_two_b) != d:
+            raise ValueError(f"deck shift must have {d} entries, not {len(self.deck_two_b)}")
         if len(self.deck_a) != d or any(len(r) != d for r in self.deck_a):
             raise ValueError("deck matrix must be d x d")
         sq = [[sum(self.deck_a[i][k] * self.deck_a[k][j] for k in range(d))
@@ -133,6 +141,7 @@ class EquivariantContext:
     @staticmethod
     def from_json_dict(obj: dict) -> "EquivariantContext":
         d = json_int(obj["dim"], "dim")
+        _check_base_dim(d)  # before the forms, whose frequencies have d entries
         deck = obj.get("deck", {})
         a_rows = tuple(tuple(json_int(v, "deck.A") for v in r)
                        for r in deck.get("A", [[1 if i == j else 0 for j in range(d)]
@@ -283,15 +292,16 @@ def phi_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSecti
     return GeneralizedSection(vec, form)
 
 
-def fiber_inversion(s: GeneralizedSection) -> GeneralizedSection:
-    """The section map induced by inverting the fiber circle: both vertical
-    components change sign.  This realizes the sign action on the bundle
-    classification at the level of generalized tangent vectors."""
-    cd = s.vec.cover_dim
-    th = cd - 1
-    vec = VectorField(cd, s.vec.components[:th] + (-s.vec.components[th],))
-    form = Form.make(cd, {k: (f.scale(-1) if th in k else f)
-                          for k, f in s.form.components})
+def fiber_inversion(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
+    """The section map induced by inverting the fiber circle:
+    (X, x, l, mu) |-> (X, -x, -l, mu) in connection-split coordinates.
+    It is an involution, and bracket_swap = phi_swap o fiber_inversion."""
+    cd = ctx.cover_dim
+    th = ctx.theta
+    x_base, x_vert, ell, mu = decompose_section(s, ctx)
+    new_vert = -x_vert - ctx.a.interior(x_base).component(())
+    vec = VectorField(cd, x_base.components[:th] + (new_vert,))
+    form = mu - ctx.a.scale(ell) - Form.dx(cd, th, ell)
     return GeneralizedSection(vec, form)
 
 
@@ -337,11 +347,11 @@ def hori_forms(w: Form, ctx: EquivariantContext) -> Form:
 # Randomized checking
 # ---------------------------------------------------------------------------
 
-def random_scalar(rng: random.Random, base_dim: int, max_freq: int = 1,
-                  n_waves: int = 2) -> FourierScalar:
+def random_scalar(rng: random.Random, base_dim: int) -> FourierScalar:
+    """A constant plus two waves of frequencies within 1."""
     out = FourierScalar.const(base_dim, Fraction(rng.randint(-2, 2)))
-    for _ in range(n_waves):
-        freq = tuple(rng.randint(-max_freq, max_freq) for _ in range(base_dim))
+    for _ in range(2):
+        freq = tuple(rng.randint(-1, 1) for _ in range(base_dim))
         amp = Fraction(rng.randint(-2, 2))
         if rng.random() < 0.5:
             out = out + FourierScalar.cos_wave(freq, amp)

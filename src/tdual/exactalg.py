@@ -105,12 +105,6 @@ class IntMatrix:
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
 
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
-
     def mod(self, m: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(x % m for x in row) for row in self.data))
 

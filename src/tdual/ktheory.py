@@ -211,9 +211,9 @@ class KGroups:
         return self.K0.free_rank, r1
 
 
-def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup,
-                         cap: int = 512) -> tuple[FGAbelianGroup, ...]:
-    """All isomorphism types of abelian extensions of quot by sub."""
+def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup) -> tuple[FGAbelianGroup, ...]:
+    """All isomorphism types of abelian extensions of quot by sub;
+    ``ValueError`` when there are more than 512 extension classes to try."""
     rs, ts = sub.free_rank, list(sub.torsion)
     ranges = []
     for d in quot.torsion:
@@ -227,7 +227,7 @@ def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup,
     for per_gen in ranges:
         for r in per_gen:
             total *= r
-    if total > cap:
+    if total > 512:
         raise ValueError("extension enumeration too large")
 
     n_sub = rs + len(ts)

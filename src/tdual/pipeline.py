@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from .bundles import total_cohomology, total_duality_report, total_homology, same_bundle
 from .catalog import SpaceInfo, build_bundle, build_flux, space
@@ -53,42 +52,37 @@ def _flux_for(kind: str, param: int, j: int, k: int) -> FluxPair:
 
 
 @lru_cache(maxsize=512)
-def _resolved_k_groups(kind: str, param: int, j: int, k: int, xi_twist: bool) -> KGroups:
+def _resolved_k_groups(kind: str, param: int, j: int, k: int,
+                       xi_twist: bool) -> tuple[KGroups, bool]:
+    """The pair's K-groups, and whether K^1 was resolved against the dual.
+
+    Only the orientation-twisted K^1 can be ambiguous: the plain one is an
+    extension of H^1(E; Z), which is torsion-free.  The ambiguous one is
+    settled by the dual's K-groups under the other twist."""
     pair = _flux_for(kind, param, j, k)
     kg = ahss_k_groups(TwistClass.from_flux(pair, xi_twist))
-    if not kg.resolved:
-        dual, _ = construct_tdual(pair)
-        dual_k = ahss_k_groups(TwistClass.from_flux(dual, not xi_twist))
-        kg = resolve_by_tduality(kg, dual_k)
-    return kg
+    if kg.resolved:
+        return kg, False
+    dual_k = ahss_k_groups(TwistClass.from_flux(pair.dual(), not xi_twist))
+    return resolve_by_tduality(kg, dual_k), True
 
 
 def compute_fixture(fx: Fixture) -> tuple:
     """The engine's value for one fixture cell."""
-    kind, params = fx.space, fx.params
+    kind = fx.space
+    param, j, k = (fx.params + (0, 0, 0))[:3]  # Klein bottle cells have no parameters
     if fx.kind == "base-cohomology":
-        info = _space_for(kind, params[0])
+        info = _space_for(kind, param)
         system = None if fx.twist == "Z" else info.xi()
         return tuple(g.group for g in cohomology(info.complex, system))
     if fx.kind == "total-cohomology":
-        if kind == "klein":
-            info = _space_for("klein", 0)
-            bundle = _bundle_for("klein", 0, 0)
-        else:
-            info = _space_for(kind, params[0])
-            bundle = _bundle_for(kind, params[0], params[1])
-        system = None if fx.twist == "Z" else info.xi()
-        return tuple(total_cohomology(bundle, system))
+        bundle = _bundle_for(kind, param, j)
+        return tuple(total_cohomology(bundle, None if fx.twist == "Z" else bundle.xi))
     if fx.kind == "k-groups":
-        if kind == "klein":
-            kg = _resolved_k_groups("klein", 0, 0, 0, fx.twist == "(xi,h)")
-        else:
-            kg = _resolved_k_groups(kind, params[0], params[1], params[2],
-                                    fx.twist == "(xi,h)")
+        kg, _ = _resolved_k_groups(kind, param, j, k, fx.twist == "(xi,h)")
         return (kg.K0, kg.K1)
     if fx.kind == "h1":
-        bundle = _bundle_for(kind, params[0], params[1])
-        return (total_homology(bundle)[1],)
+        return (total_homology(_bundle_for(kind, param, j))[1],)
     raise KeyError(fx.kind)
 
 
@@ -188,14 +182,12 @@ class PipelineReport:
         return "\n".join(lines)
 
 
-def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0,
-                 xi_labels: Optional[frozenset] = None) -> PipelineReport:
+def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0) -> PipelineReport:
     """Full run for one (space, bundle, flux) cell."""
     info = _space_for(kind, param)
-    custom_xi = xi_labels is not None and frozenset(xi_labels) != info.default_xi
-    xi = info.xi(xi_labels) if xi_labels is not None else info.xi()
-    bundle = build_bundle(info, xi, j)
-    pair = build_flux(bundle, k)
+    bundle = _bundle_for(kind, param, j)
+    pair = _flux_for(kind, param, j, k)
+    xi = bundle.xi
 
     base_coh = {
         "H^*(M, Z)": [g.group for g in cohomology(info.complex)],
@@ -206,23 +198,16 @@ def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0,
         "H^*(E, Z_xi)": total_cohomology(bundle, xi),
     }
 
-    dual, cert = construct_tdual(pair)
+    dual, _ = construct_tdual(pair)
     axioms = verify_tduality(pair, dual)
     ddual, _ = construct_tdual(dual)
     round_trip = same_bundle(ddual.bundle, bundle) and duals_equivalent(pair, ddual)[0]
 
-    kg_plain = ahss_k_groups(TwistClass.from_flux(pair, False))
-    kg_xi = ahss_k_groups(TwistClass.from_flux(pair, True))
+    kg_plain, _ = _resolved_k_groups(kind, param, j, k, False)
+    kg_xi, xi_via_dual = _resolved_k_groups(kind, param, j, k, True)
     notes = []
-    if not kg_xi.resolved:
-        dual_k = ahss_k_groups(TwistClass.from_flux(dual, False))
-        kg_xi = resolve_by_tduality(kg_xi, dual_k)
+    if xi_via_dual:
         notes.append("K^1 with the orientation twist resolved against the dual")
-    if not kg_plain.resolved:
-        dual_kx = ahss_k_groups(TwistClass.from_flux(dual, True))
-        if dual_kx.resolved:
-            kg_plain = resolve_by_tduality(kg_plain, dual_kx)
-            notes.append("plain K^1 resolved against the dual")
 
     k_tables = {
         "K(E, h)": (kg_plain.K0, kg_plain.K1),
@@ -241,22 +226,15 @@ def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0,
         orn = info.orientation_system()
         groups_ok = total_duality_report(bundle, orn, systems=[("Z", None), ("xi", xi)]).ok
 
-    diffs = []
-    if not custom_xi:
-        if kind == "klein":
-            fixtures = klein_fixtures()
-        elif kind == "sigma" and j in (0, 1) and k in (0, 1):
-            fixtures = (sigma_total_fixtures(param, j) + sigma_k_fixtures(param, j, k))
-        elif kind == "crosscap":
-            fixtures = (crosscap_total_fixtures(param, j)
-                        + crosscap_k_fixtures(param, j, k)
-                        + [crosscap_h1_fixture(param, j)])
-        else:
-            fixtures = []
-        diffs = run_fixtures(fixtures)
+    # build_bundle and build_flux admit only j, k in {0, 1} over sigma(g)
+    if kind == "klein":
+        fixtures = klein_fixtures()
+    elif kind == "sigma":
+        fixtures = sigma_total_fixtures(param, j) + sigma_k_fixtures(param, j, k)
     else:
-        notes.append("non-catalog orientation class: no reference table exists; "
-                     "results are unverified")
+        fixtures = (crosscap_total_fixtures(param, j)
+                    + crosscap_k_fixtures(param, j, k)
+                    + [crosscap_h1_fixture(param, j)])
 
     return PipelineReport(
         space=kind,
@@ -267,7 +245,7 @@ def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0,
         round_trip_ok=round_trip,
         k_tables=k_tables,
         rational_checks=rat,
-        fixture_diffs=diffs,
+        fixture_diffs=run_fixtures(fixtures),
         duality_groups_ok=groups_ok,
         notes=notes,
     )

@@ -99,6 +99,13 @@ class FluxPair:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
+    def dual(self) -> "FluxPair":
+        """The T-dual pair (Bouwknegt-Evslin-Mathai): the push-forward flux
+        becomes the dual Euler cocycle and the Euler cocycle the dual's
+        push-forward flux.  Solves nothing; ``construct_tdual`` certifies it."""
+        bundle = self.bundle
+        return FluxPair(BundleDescriptor(bundle.base, bundle.xi, self.fhat), (), bundle.euler)
+
 
 # ---------------------------------------------------------------------------
 # Correspondence complex
@@ -226,15 +233,11 @@ def _discrepancy(pair: FluxPair, dual: FluxPair) -> tuple[CorrespondenceComplex,
 
 
 def construct_tdual(pair: FluxPair) -> tuple[FluxPair, Certificate]:
-    """The T-dual pair and an exact certificate.
-
-    The flux's push-forward cocycle becomes the dual Euler cocycle and the
-    Euler cocycle the dual's push-forward flux; the dual's base part is
-    empty, as for every flux pair.  One solve on the correspondence complex
-    gives a 2-cochain B with p^*(h) - phat^*(h_dual) = delta(B) exactly.
+    """The T-dual pair ``pair.dual()`` and an exact certificate: one solve
+    on the correspondence complex gives a 2-cochain B with
+    p^*(h) - phat^*(h_dual) = delta(B) exactly.
     """
-    bundle = pair.bundle
-    dual = FluxPair(BundleDescriptor(bundle.base, bundle.xi, pair.fhat), (), bundle.euler)
+    dual = pair.dual()
     corr, d_flux = _discrepancy(pair, dual)
     if not corr.coboundary(d_flux).is_zero():
         raise InternalObstruction("discrepancy cochain is not closed")
@@ -275,22 +278,37 @@ class TDualityReport:
 
 
 def verify_tduality(pair: FluxPair, cand: FluxPair) -> TDualityReport:
-    """Check the three duality axioms, returning per-axiom results."""
+    """Check the three duality axioms, returning per-axiom results.
+
+    The candidate is aligned to the pair's sign system by a vertex
+    rescaling u, and 1 - u aligns it as well while negating every aligned
+    cochain.  So when the aligned candidate fails, its fiber inversion
+    (Euler and flux cocycles both negated, an isomorphic pair) is checked
+    too, and the candidate passes if either one passes all three axioms."""
     if pair.bundle.base != cand.bundle.base:
         raise BaseMismatch("pairs live over different bases")
-    xi = pair.bundle.xi
+    base, xi = pair.bundle.base, pair.bundle.xi
 
     if not is_same_z2_class(xi, cand.bundle.xi):
         return TDualityReport(False, False, False, False)
 
-    ehat = align_xi_cochain(cand.bundle.euler_cochain(), xi)
-    cand_fhat = align_xi_cochain(cand.fhat_cochain(), xi)
-    ax2a = is_coboundary(pair.fhat_cochain() - ehat)
-    ax2b = is_coboundary(cand_fhat - pair.bundle.euler_cochain())
+    ehat = align_xi_cochain(cand.bundle.euler_cochain(), xi).values
+    fhat = align_xi_cochain(cand.fhat_cochain(), xi).values
+    report = _axioms(pair, FluxPair(BundleDescriptor(base, xi, ehat), cand.h3, fhat))
+    if not report.ok:
+        flipped = _axioms(pair, FluxPair(BundleDescriptor(base, xi, tuple(-v for v in ehat)),
+                                         cand.h3, tuple(-v for v in fhat)))
+        if flipped.ok:
+            return flipped
+    return report
 
-    cand_aligned = FluxPair(BundleDescriptor(pair.bundle.base, xi, ehat.values), cand.h3,
-                            cand_fhat.values)
-    corr, diff = _discrepancy(pair, cand_aligned)
+
+def _axioms(pair: FluxPair, cand: FluxPair) -> TDualityReport:
+    """The push-forward and correspondence axioms for a candidate that
+    carries the pair's sign system."""
+    ax2a = is_coboundary(pair.fhat_cochain() - cand.bundle.euler_cochain())
+    ax2b = is_coboundary(cand.fhat_cochain() - pair.bundle.euler_cochain())
+    corr, diff = _discrepancy(pair, cand)
     try:
         solve_integer(corr.delta_matrix(2), diff.vector())
         ax3 = True
@@ -447,9 +465,6 @@ class HoriSmall:
     target: SmallTwistedComplex
     matrix: IntMatrix
 
-    def apply(self, coords: Sequence[int]) -> tuple[int, ...]:
-        return self.matrix.mul_vec(coords)
-
     def is_chain_map(self) -> bool:
         lhs = self.matrix.mul(self.source.d_matrix)
         rhs = self.target.d_matrix.mul(self.matrix).scale(-1)
@@ -486,7 +501,7 @@ def _component_swap(source: SmallTwistedComplex, target: SmallTwistedComplex) ->
 def hori_small(pair: FluxPair, dual: Optional[FluxPair] = None) -> HoriSmall:
     """The transform from the pair's model to the dual's xi-twisted model."""
     if dual is None:
-        dual, _ = construct_tdual(pair)
+        dual = pair.dual()
     return _component_swap(SmallTwistedComplex(pair, twist_by_xi=False),
                            SmallTwistedComplex(dual, twist_by_xi=True))
 
@@ -495,6 +510,6 @@ def hori_small_reverse(pair: FluxPair, dual: Optional[FluxPair] = None) -> HoriS
     """The xi-twisted reverse transform, from the dual's xi-twisted model
     back to the pair's model; composing with hori_small gives -identity."""
     if dual is None:
-        dual, _ = construct_tdual(pair)
+        dual = pair.dual()
     return _component_swap(SmallTwistedComplex(dual, twist_by_xi=True),
                            SmallTwistedComplex(pair, twist_by_xi=False))

@@ -88,6 +88,15 @@ def test_ktheory_command(capsys, klein_pair_file):
     assert "K^0 = Z" in out and "K^1 = Z + Z/2" in out
 
 
+def test_ktheory_command_reports_an_ambiguous_extension(tmp_path, capsys):
+    info = sigma(1)
+    path = tmp_path / "pair.json"
+    path.write_text(build_flux(build_bundle(info, info.xi(), 0), 1).to_json())
+    assert main(["ktheory", str(path), "--xi-twist"]) == 0
+    out = capsys.readouterr().out
+    assert "K^1 = extension of Z + Z/2 by Z: Z^2 or Z^2 + Z/2\n" in out
+
+
 def test_tables_command(capsys):
     assert main(["tables", "klein"]) == 0
     out = capsys.readouterr().out
@@ -103,7 +112,9 @@ def test_tables_command(capsys):
     for argv, reason in ((["sigma", "--g", "0"], "genus must be >= 1"),
                          (["crosscap", "--n", "-1"], "need at least one crosscap"),
                          (["sigma", "--g", "2", "--j", "5"], "j must lie in range 0..1"),
-                         (["klein", "--k", "5"], "flux group is trivial; only k = 0 exists")):
+                         (["klein", "--k", "5"], "flux group is trivial; only k = 0 exists"),
+                         (["sigma"], "--g is required for sigma"),
+                         (["crosscap", "--j", "1"], "--n is required for crosscap")):
         assert main(["tables"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -223,9 +234,16 @@ def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
     def missing_dim(obj):
         del obj["dim"]
 
+    def setter(key, value):
+        return lambda obj: (obj["deck"] if key == "b" else obj).update({key: value})
+
     for edit, reason in ((non_involutive, "involution"),
                          (invariant_potential, "anti-invariant"),
-                         (missing_dim, "missing field 'dim'")):
+                         (missing_dim, "missing field 'dim'"),
+                         (setter("b", ["1/2"]), "deck shift must have 2 entries, not 1"),
+                         (setter("b", ["1/2", "0", "0"]), "deck shift must have 2 entries, not 3"),
+                         (setter("dim", 0), "base dimension must be at least 1, not 0"),
+                         (setter("dim", -1), "base dimension must be at least 1, not -1")):
         path = context_file(tmp_path, edit)
         assert_input_error(capsys, ["courant-check", str(path)], path, reason)
 

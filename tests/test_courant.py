@@ -254,6 +254,16 @@ def test_bracket_swap_intertwines_flat_case():
         assert check_phi_intertwines(s1, s2, ctx)
 
 
+@pytest.mark.parametrize("index", range(4))
+def test_fiber_inversion_is_an_involution_behind_bracket_swap(index):
+    ctx = standard_contexts()[index][1]
+    rng = random.Random(3)
+    for _ in range(3):
+        s = random_section(rng, ctx)
+        assert (phi_swap(fiber_inversion(s, ctx), ctx) - bracket_swap(s, ctx)).is_zero()
+        assert (fiber_inversion(fiber_inversion(s, ctx), ctx) - s).is_zero()
+
+
 def test_bracket_swap_scaling_compatibility():
     ctx = curved_context()
     rng = random.Random(8)

@@ -80,6 +80,17 @@ def test_twist_product_associative_up_to_coboundary():
     assert same_twist_class(lhs, rhs)
 
 
+def test_same_twist_class_detects_class_differences():
+    info = sigma(1)
+    b = build_bundle(info, info.xi(), 0)
+    plain = TwistClass.from_flux(build_flux(b, 0), False)
+    # the degree-1 parts differ by the pulled-back orientation class
+    assert not same_twist_class(plain, TwistClass.from_flux(build_flux(b, 0), True))
+    # the degree-3 parts differ by the nonzero flux class of k = 1
+    assert not same_twist_class(plain, TwistClass.from_flux(build_flux(b, 1), False))
+    assert same_twist_class(plain, zero_twist(b))
+
+
 def test_twist_product_space_mismatch():
     b1 = build_bundle(sigma(1), sigma(1).xi(), 0)
     b2 = build_bundle(sigma(1), sigma(1).xi(), 1)

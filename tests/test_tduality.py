@@ -3,8 +3,9 @@ import random
 import pytest
 
 from tdual.bundles import BundleDescriptor, TotalComplex, gauge_action, same_bundle
-from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, sigma
-from tdual.complexes import TwistedCochain, cohomology
+from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, klein_bottle, sigma
+from tdual.cli import main
+from tdual.complexes import LocalSystem, TwistedCochain, cohomology
 from tdual.exactalg import FGAbelianGroup as FG
 from tdual.exactalg import IntMatrix
 from tdual.tduality import (
@@ -121,6 +122,58 @@ def test_gauge_shifted_dual_still_verifies():
     assert eq and witness is not None
 
 
+def regauged(q, seed=1):
+    """q re-expressed over the sign system rescaled by (-1)^u for a random
+    vertex function u: xi'(e) = xi(e) (-1)^{u(tail) + u(head)}, and each
+    2-cochain value on a simplex multiplied by (-1)^{u(first vertex)}."""
+    m = q.bundle.base
+    rng = random.Random(seed)
+    u = [rng.randint(0, 1) for _ in range(m.vertex_count)]
+    signs = tuple(s * (-1) ** (u[m.simplex(1, e)[0]] + u[m.simplex(1, e)[1]])
+                  for e, s in enumerate(q.bundle.xi.edge_signs))
+
+    def rescale(values):
+        return tuple(v * (-1) ** u[m.simplex(2, i)[0]] for i, v in enumerate(values))
+
+    bundle = BundleDescriptor(m, LocalSystem(m, signs), rescale(q.bundle.euler))
+    return FluxPair(bundle, q.h3, rescale(q.fhat))
+
+
+@pytest.mark.parametrize("info, j, k", [(sigma(2), 1, 1), (crosscap_sum(3), 2, 1),
+                                        (klein_bottle(), 1, 0)])
+def test_regauged_dual_verifies(info, j, k, tmp_path, capsys):
+    # aligning the re-gauged sign system back may negate every aligned
+    # cochain; the fiber-inverted candidate must then pass
+    p = pair_for(info, j, k)
+    q = regauged(p.dual())
+    assert q.bundle.xi != p.bundle.xi and same_bundle(q.bundle, p.dual().bundle)
+    rep = verify_tduality(p, q)
+    assert rep.ok, str(rep)
+    a, b = tmp_path / "pair.json", tmp_path / "dual.json"
+    a.write_text(p.to_json())
+    b.write_text(q.to_json())
+    assert main(["verify", str(a), str(b)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_fiber_inverted_dual_verifies():
+    p = pair_for(crosscap_sum(2), 1, 2)
+    d = p.dual()
+    inverted = FluxPair(BundleDescriptor(d.bundle.base, d.bundle.xi,
+                                         tuple(-v for v in d.bundle.euler)),
+                        (), tuple(-v for v in d.fhat))
+    assert verify_tduality(p, inverted).ok
+
+
+def test_dual_swaps_euler_and_flux():
+    p = pair_for(crosscap_sum(2), 1, 2)
+    dual = p.dual()
+    assert dual.bundle.xi == p.bundle.xi and dual.h3 == ()
+    assert dual.bundle.euler == p.fhat and dual.fhat == p.bundle.euler
+    assert construct_tdual(p)[0] == dual
+    assert dual.dual() == p
+
+
 def test_duals_equivalent_controls():
     info = sigma(1)
     p0 = pair_for(info, 0, 0)
@@ -214,6 +267,8 @@ def test_hori_small_is_degree_shifting_chain_iso():
         assert t.shifts_parity()
         r = hori_small_reverse(p, dual)
         assert r.is_chain_map()
+        assert hori_small(p).matrix == t.matrix
+        assert hori_small_reverse(p).matrix == r.matrix
         comp = r.matrix.mul(t.matrix)
         assert comp == IntMatrix.identity(comp.rows).scale(-1)
 
