@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .complexes import json_int
 from .fourier import Form, FourierScalar, VectorField, form_primitive, lie_derivative
@@ -253,8 +254,14 @@ def derived_bracket_check(s1: GeneralizedSection, s2: GeneralizedSection,
     of odd operators, the outer one an ordinary commutator; the flux enters
     D with the sign opposite to the one in the bracket formula (wedging by
     H anticommutes past the degree-one Clifford factors)."""
+    return _derived_bracket_holds(dorfman(s1, s2, ctx), s1, s2, w, ctx)
+
+
+def _derived_bracket_holds(bracket: GeneralizedSection, s1: GeneralizedSection,
+                           s2: GeneralizedSection, w: Form, ctx: EquivariantContext) -> bool:
+    """``derived_bracket_check`` given the bracket [s1, s2]."""
     h = ctx.flux_h()
-    lhs = clifford(dorfman(s1, s2, ctx), w)
+    lhs = clifford(bracket, w)
     dh = lambda u: u.d() - h.wedge(u)
     rhs = (dh(clifford(s1, clifford(s2, w)))
            + clifford(s1, dh(clifford(s2, w)))
@@ -328,9 +335,16 @@ def check_phi_intertwines(s1: GeneralizedSection, s2: GeneralizedSection,
                           ctx: EquivariantContext) -> bool:
     """bracket_swap([s1, s2]_H) = [bracket_swap(s1), bracket_swap(s2)]_Hhat,
     exactly."""
-    lhs = bracket_swap(dorfman(s1, s2, ctx), ctx)
-    rhs = dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx), ctx.dual())
-    return (lhs - rhs).is_zero()
+    return _swap_intertwines(
+        dorfman(s1, s2, ctx),
+        dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx), ctx.dual()), ctx)
+
+
+def _swap_intertwines(bracket: GeneralizedSection, swapped: GeneralizedSection,
+                      ctx: EquivariantContext) -> bool:
+    """``check_phi_intertwines`` given [s1, s2]_H and, as ``swapped``, the
+    dual-side bracket of the swapped pair."""
+    return (bracket_swap(bracket, ctx) - swapped).is_zero()
 
 
 def hori_forms(w: Form, ctx: EquivariantContext) -> Form:
@@ -377,6 +391,31 @@ def random_section(rng: random.Random, ctx: EquivariantContext) -> GeneralizedSe
     return project_section(GeneralizedSection(vec, form), ctx)
 
 
+class _Brackets(NamedTuple):
+    """The brackets the checks read for one section triple (a, b, c) and
+    invariant function f; ``swapped`` is the dual-side bracket
+    [bracket_swap(a), bracket_swap(b)].  With [b, c], which only [a, [b, c]]
+    reads, these are nine distinct brackets, each computed once."""
+
+    ab: GeneralizedSection
+    ba: GeneralizedSection
+    ac: GeneralizedSection
+    a_bc: GeneralizedSection
+    ab_c: GeneralizedSection
+    b_ac: GeneralizedSection
+    a_fb: GeneralizedSection
+    swapped: GeneralizedSection
+
+
+def _brackets(a: GeneralizedSection, b: GeneralizedSection, c: GeneralizedSection,
+              f: FourierScalar, ctx: EquivariantContext) -> _Brackets:
+    ab, ac = dorfman(a, b, ctx), dorfman(a, c, ctx)
+    return _Brackets(ab, dorfman(b, a, ctx), ac, dorfman(a, dorfman(b, c, ctx), ctx),
+                     dorfman(ab, c, ctx), dorfman(b, ac, ctx),
+                     dorfman(a, b.scale(f), ctx),
+                     dorfman(bracket_swap(a, ctx), bracket_swap(b, ctx), ctx.dual()))
+
+
 @dataclass
 class CourantReport:
     context_label: str
@@ -409,40 +448,37 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     fns = [random_scalar(rng, ctx.base_dim) for _ in range(sections)]
     fns = [f + f.compose_affine(ctx.deck_a, ctx.deck_two_b) for f in fns]  # invariant
 
-    ok = all((dorfman(a, dorfman(b, c, ctx), ctx)
-              - dorfman(dorfman(a, b, ctx), c, ctx)
-              - dorfman(b, dorfman(a, c, ctx), ctx)).is_zero()
-             for a, b, c in triples)
+    # Each distinct bracket is computed once; every check reads these.
+    brs = [_brackets(a, b, c, f, ctx) for (a, b, c), f in zip(triples, fns)]
+
+    ok = all((br.a_bc - br.ab_c - br.b_ac).is_zero() for br in brs)
     checks.append(("bracket Leibniz identity over itself", ok))
 
     ok = all(all((u - v).is_zero() for u, v in
-                 zip(dorfman(a, b, ctx).vec.components,
-                     a.vec.lie_bracket(b.vec).components))
-             for a, b, _ in triples)
+                 zip(br.ab.vec.components, a.vec.lie_bracket(b.vec).components))
+             for (a, b, _), br in zip(triples, brs))
     checks.append(("anchor respects brackets", ok))
 
     ok = True
-    for (a, b, _), f in zip(triples, fns):
-        lhs = dorfman(a, b.scale(f), ctx)
-        rhs = b.scale(a.vec.apply(f)) + dorfman(a, b, ctx).scale(f)
-        if not (lhs - rhs).is_zero():
+    for (a, b, _), f, br in zip(triples, fns, brs):
+        rhs = b.scale(a.vec.apply(f)) + br.ab.scale(f)
+        if not (br.a_fb - rhs).is_zero():
             ok = False
             break
     checks.append(("bracket Leibniz rule for function multiples", ok))
 
     ok = True
-    for a, b, _ in triples:
-        sym = dorfman(a, b, ctx) + dorfman(b, a, ctx)
+    for (a, b, _), br in zip(triples, brs):
         target = anchor_d(pairing(a, b).scale(2), cd)
-        if not (sym - target).is_zero():
+        if not (br.ab + br.ba - target).is_zero():
             ok = False
             break
     checks.append(("symmetrized bracket is the pairing differential", ok))
 
     ok = True
-    for a, b, c in triples:
+    for (a, b, c), br in zip(triples, brs):
         lhs = a.vec.apply(pairing(b, c))
-        rhs = pairing(dorfman(a, b, ctx), c) + pairing(b, dorfman(a, c, ctx))
+        rhs = pairing(br.ab, c) + pairing(b, br.ac)
         if not (lhs - rhs).is_zero():
             ok = False
             break
@@ -450,8 +486,8 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
 
     forms = [random_form(rng, ctx, deg, invariant=True)
              for deg in (0, 1, 2) for _ in range(max(1, sections // 3))]
-    ok = all(derived_bracket_check(a, b, w, ctx)
-             for (a, b, _), w in zip(triples, forms))
+    ok = all(_derived_bracket_holds(br.ab, a, b, w, ctx)
+             for (a, b, _), br, w in zip(triples, brs, forms))
     checks.append(("derived-bracket identity", ok))
 
     ok = all((twisted_d(twisted_d(w, ctx), ctx)).is_zero() for w in forms)
@@ -469,7 +505,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
             break
     checks.append(("swap preserves the pairing and is an involution", ok))
 
-    ok = all(check_phi_intertwines(a, b, ctx) for a, b, _ in triples)
+    ok = all(_swap_intertwines(br.ab, br.swapped, ctx) for br in brs)
     checks.append(("swap intertwines the brackets", ok))
 
     ok = True

@@ -43,7 +43,8 @@ def _t(j: int) -> FG:
 
 
 def _zj(rank: int, j: int) -> FG:
-    return FG(rank, (j,)) if j > 1 else FG(rank)
+    """Z^rank + Z/|j|: j and -j times a free generator leave the same quotient."""
+    return FG(rank, (abs(j),)) if abs(j) > 1 else FG(rank)
 
 
 # ---------------------------------------------------------------------------

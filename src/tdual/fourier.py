@@ -14,7 +14,13 @@ k and at -k.  ``FourierScalar.from_json_list`` is the one place such a
 spectrum enters, and the one place its reality is checked; there is no
 Gaussian-rational type (``GaussQ`` is gone).  Form and vector-field
 operations emit (key, integer, scalar) pieces and sum each key once
-(``_form`` over ``_lincomb``).
+(``_form`` over ``_lincomb``).  Products have one kernel: ``_products``
+adds every c * f * g of a sum straight into one frequency accumulator
+over a common denominator and reduces once per output key; the
+product-to-sum formula is written only in ``_mul_into``, and
+``FourierScalar.__mul__`` is the one-term case.  ``Form.make`` and
+``Form.from_json_list`` check component keys; operations build their
+results through the unchecked ``_form_of``.
 """
 
 from __future__ import annotations
@@ -80,44 +86,7 @@ class FourierScalar:
         return _lincomb(self.dim, ((1, self), (-1, o)))
 
     def __mul__(self, o: "FourierScalar") -> "FourierScalar":
-        # Product to sum: with x = a1 a2, y = b1 b2, u = a1 b2, v = b1 a2,
-        # 2 f1 f2 = (x - y) cos(s) + (u + v) sin(s) + (x + y) cos(t) + (v - u) sin(t)
-        # for s = k1 + k2 (always in the upper half) and t = k1 - k2,
-        # flipped into the upper half by negating its sin part.
-        t1, t2 = self.terms, o.terms
-        if not t1 or not t2:
-            return FourierScalar.zero(self.dim)
-        zero = (0,) * self.dim
-        acc: dict[tuple[int, ...], list[int]] = {}
-        get = acc.get
-        for k1, a1, b1 in t1:
-            for k2, a2, b2 in t2:
-                x = a1 * a2
-                y = b1 * b2
-                u = a1 * b2
-                v = b1 * a2
-                ks = tuple(map(add, k1, k2))
-                p = get(ks)
-                if p is None:
-                    acc[ks] = [x - y, u + v]
-                else:
-                    p[0] += x - y
-                    p[1] += u + v
-                kd = tuple(map(sub, k1, k2))
-                if kd > zero:
-                    s = v - u
-                elif kd < zero:
-                    kd = tuple(map(sub, k2, k1))
-                    s = u - v
-                else:
-                    s = 0
-                p = get(kd)
-                if p is None:
-                    acc[kd] = [x + y, s]
-                else:
-                    p[0] += x + y
-                    p[1] += s
-        return _collect(self.dim, acc, 2 * self.den * o.den)
+        return _products(self.dim, ((1, self, o),))
 
     def scale(self, c: Rat) -> "FourierScalar":
         if type(c) is not int:
@@ -248,6 +217,62 @@ def _lincomb(dim: int, pairs: Iterable[tuple[int, FourierScalar]]) -> FourierSca
     return _collect(dim, acc, den)
 
 
+def _mul_into(acc: dict, m: int, t1: Sequence[Term], t2: Sequence[Term]) -> None:
+    """Add m times the numerators of f1 f2, written over the denominator
+    2 den(f1) den(f2), into the frequency -> [a, b] accumulator ``acc``,
+    for f1, f2 with terms t1, t2."""
+    # Product to sum: with x = a1 a2, y = b1 b2, u = a1 b2, v = b1 a2,
+    # 2 f1 f2 = (x - y) cos(s) + (u + v) sin(s) + (x + y) cos(t) + (v - u) sin(t)
+    # for s = k1 + k2 (always in the upper half) and t = k1 - k2,
+    # flipped into the upper half by negating its sin part.
+    zero = (0,) * len(t1[0][0])
+    get = acc.get
+    for k1, a1, b1 in t1:
+        if m != 1:
+            a1 *= m
+            b1 *= m
+        for k2, a2, b2 in t2:
+            x = a1 * a2
+            y = b1 * b2
+            u = a1 * b2
+            v = b1 * a2
+            ks = tuple(map(add, k1, k2))
+            p = get(ks)
+            if p is None:
+                acc[ks] = [x - y, u + v]
+            else:
+                p[0] += x - y
+                p[1] += u + v
+            kd = tuple(map(sub, k1, k2))
+            if kd > zero:
+                s = v - u
+            elif kd < zero:
+                kd = tuple(map(sub, k2, k1))
+                s = u - v
+            else:
+                s = 0
+            p = get(kd)
+            if p is None:
+                acc[kd] = [x + y, s]
+            else:
+                p[0] += x + y
+                p[1] += s
+
+
+def _products(dim: int, triples: Iterable[tuple[int, FourierScalar, FourierScalar]]) -> FourierScalar:
+    """The sum of c * f * g over (integer c, scalar f, scalar g) triples:
+    each product is added straight into one accumulator over the least
+    common denominator, reduced once.  ``__mul__`` is the one-term case."""
+    triples = [(c, f, g) for c, f, g in triples if c and f.terms and g.terms]
+    if not triples:
+        return FourierScalar.zero(dim)
+    den = lcm(*(f.den * g.den for _, f, g in triples))
+    acc: dict[tuple[int, ...], list[int]] = {}
+    for c, f, g in triples:
+        _mul_into(acc, c * (den // (f.den * g.den)), f.terms, g.terms)
+    return _collect(dim, acc, 2 * den)
+
+
 def _wave(freq: Sequence[int], amp: Rat, sine: bool) -> FourierScalar:
     """amp * cos(2pi k.x) or amp * sin(2pi k.x), k flipped into the upper half."""
     k = tuple(int(v) for v in freq)
@@ -285,19 +310,21 @@ class Form:
     cover_dim: int
     components: tuple[tuple[Key, FourierScalar], ...]
 
-    def __post_init__(self) -> None:
-        for key, f in self.components:
-            if any(i < 0 or i >= self.cover_dim for i in key):
+    @staticmethod
+    def make(cover_dim: int, mapping: Mapping[Key, FourierScalar]) -> "Form":
+        """The form with the nonzero components of ``mapping``; ``ValueError``
+        unless each of their keys is sorted, distinct and in range and each
+        scalar lives on the base.  Operations build their results through
+        the unchecked ``_form_of``."""
+        out = _form_of(cover_dim, mapping)
+        for key, f in out.components:
+            if any(i < 0 or i >= cover_dim for i in key):
                 raise ValueError("coordinate index out of range")
             if tuple(sorted(set(key))) != key:
                 raise ValueError("component keys must be sorted and distinct")
-            if f.dim != self.cover_dim - 1:
+            if f.dim != cover_dim - 1:
                 raise ValueError("scalar base dimension mismatch")
-
-    @staticmethod
-    def make(cover_dim: int, mapping: Mapping[Key, FourierScalar]) -> "Form":
-        items = tuple(sorted((k, f) for k, f in mapping.items() if not f.is_zero()))
-        return Form(cover_dim, items)
+        return out
 
     @staticmethod
     def zero(cover_dim: int) -> "Form":
@@ -341,14 +368,14 @@ class Form:
         return _form(self.cover_dim, self._pieces(-1))
 
     def scale_rat(self, c: Rat) -> "Form":
-        return Form.make(self.cover_dim, {k: f.scale(c) for k, f in self.components})
+        return _form_of(self.cover_dim, {k: f.scale(c) for k, f in self.components})
 
     def scale(self, g: FourierScalar) -> "Form":
-        return Form.make(self.cover_dim, {k: g * f for k, f in self.components})
+        return _form_products(self.cover_dim, [(k, 1, g, f) for k, f in self.components])
 
     def wedge(self, o: "Form") -> "Form":
-        return _form(self.cover_dim, [
-            (tuple(sorted(k1 + k2)), _sort_sign(k1 + k2), f1 * f2)
+        return _form_products(self.cover_dim, [
+            (tuple(sorted(k1 + k2)), _sort_sign(k1 + k2), f1, f2)
             for k1, f1 in self.components for k2, f2 in o.components
             if not set(k1) & set(k2)])
 
@@ -363,8 +390,8 @@ class Form:
         for key, f in self.components:
             for j in key:
                 new, sign = _delete_sign(key, j)
-                pieces.append((new, sign, vf.components[j] * f))
-        return _form(self.cover_dim, pieces)
+                pieces.append((new, sign, vf.components[j], f))
+        return _form_products(self.cover_dim, pieces)
 
     def pullback(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "Form":
         """Pullback along (x, theta) -> (Ax + b, -theta): dx_i goes to
@@ -393,13 +420,29 @@ class Form:
         return Form.make(cover_dim, acc)
 
 
+def _form_of(cover_dim: int, mapping: Mapping[Key, FourierScalar]) -> Form:
+    """The form with the nonzero components of ``mapping``, whose keys are
+    taken to be valid: the unchecked constructor behind every operation."""
+    return Form(cover_dim, tuple(sorted((k, f) for k, f in mapping.items() if f.terms)))
+
+
 def _form(cover_dim: int, pieces: Iterable[tuple[Key, int, FourierScalar]]) -> Form:
     """The form sum of c * s dx_key over (key, integer c, scalar s) pieces,
     each key summed by one ``_lincomb``."""
     groups: dict[Key, list] = {}
     for key, c, s in pieces:
         groups.setdefault(key, []).append((c, s))
-    return Form.make(cover_dim, {k: _lincomb(cover_dim - 1, g) for k, g in groups.items()})
+    return _form_of(cover_dim, {k: _lincomb(cover_dim - 1, g) for k, g in groups.items()})
+
+
+def _form_products(cover_dim: int,
+                   pieces: Iterable[tuple[Key, int, FourierScalar, FourierScalar]]) -> Form:
+    """The form sum of c * f * g dx_key over (key, integer c, scalar f,
+    scalar g) pieces, each key summed by one ``_products``."""
+    groups: dict[Key, list] = {}
+    for key, c, f, g in pieces:
+        groups.setdefault(key, []).append((c, f, g))
+    return _form_of(cover_dim, {k: _products(cover_dim - 1, g) for k, g in groups.items()})
 
 
 @dataclass(frozen=True)
@@ -444,14 +487,18 @@ class VectorField:
     def scale(self, g: FourierScalar) -> "VectorField":
         return VectorField(self.cover_dim, tuple(g * f for f in self.components))
 
+    def _derivative_terms(self, f: FourierScalar, c: int) -> list:
+        # the fiber coordinate contributes nothing
+        return [(c, self.components[j], f.partial(j)) for j in range(f.dim)]
+
     def apply(self, f: FourierScalar) -> FourierScalar:
         """Directional derivative of a base scalar."""
-        # the fiber coordinate contributes nothing
-        return _lincomb(f.dim, [(1, self.components[j] * f.partial(j)) for j in range(f.dim)])
+        return _products(f.dim, self._derivative_terms(f, 1))
 
     def lie_bracket(self, o: "VectorField") -> "VectorField":
         return VectorField(self.cover_dim, tuple(
-            self.apply(y) - o.apply(x) for x, y in zip(self.components, o.components)))
+            _products(x.dim, self._derivative_terms(y, 1) + o._derivative_terms(x, -1))
+            for x, y in zip(self.components, o.components)))
 
     def pushforward(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "VectorField":
         """Image under the deck map (x, theta) -> (Ax + b, -theta); for an

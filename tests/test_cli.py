@@ -121,6 +121,16 @@ def test_tables_command(capsys):
         assert captured.err == f"error: {reason}\n"
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("j", [-3, -2, -1])
+@pytest.mark.parametrize("k", [-3, -2, -1, 0])
+def test_crosscap_tables_read_negative_indices(capsys, n, j, k):
+    """The tables hold for j and k below zero: -j times a generator has
+    the same quotient as j."""
+    assert main(["tables", "crosscap", "--n", str(n), "--j", str(j), "--k", str(k)]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+
+
 def test_fixtures_command_subset(capsys):
     assert main(["fixtures", "--only", "klein"]) == 0
     out = capsys.readouterr().out
@@ -237,13 +247,19 @@ def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
     def setter(key, value):
         return lambda obj: (obj["deck"] if key == "b" else obj).update({key: value})
 
+    def dx(key):
+        return lambda obj: obj["a"][0].update({"dx": key})
+
     for edit, reason in ((non_involutive, "involution"),
                          (invariant_potential, "anti-invariant"),
                          (missing_dim, "missing field 'dim'"),
                          (setter("b", ["1/2"]), "deck shift must have 2 entries, not 1"),
                          (setter("b", ["1/2", "0", "0"]), "deck shift must have 2 entries, not 3"),
                          (setter("dim", 0), "base dimension must be at least 1, not 0"),
-                         (setter("dim", -1), "base dimension must be at least 1, not -1")):
+                         (setter("dim", -1), "base dimension must be at least 1, not -1"),
+                         (dx([3]), "coordinate index out of range"),
+                         (dx([1, 0]), "component keys must be sorted and distinct"),
+                         (dx([1, 1]), "component keys must be sorted and distinct")):
         path = context_file(tmp_path, edit)
         assert_input_error(capsys, ["courant-check", str(path)], path, reason)
 

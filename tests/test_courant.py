@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tdual import courant
 from tdual.courant import (
     EquivariantContext,
     GeneralizedSection,
@@ -23,7 +24,7 @@ from tdual.courant import (
     standard_contexts,
     twisted_d,
 )
-from tdual.fourier import Form, FourierScalar, VectorField, form_primitive
+from tdual.fourier import Form, FourierScalar, VectorField, form_primitive, lie_derivative
 
 CD = 3
 
@@ -67,6 +68,20 @@ def test_form_calculus():
     a = Form.dx(CD, 0, FourierScalar.cos_wave((1, 1)))
     b = Form.dx(CD, 1, FourierScalar.sin_wave((2, 0)))
     assert (a.wedge(b) + b.wedge(a)).is_zero()
+
+
+@pytest.mark.parametrize("key, dim, reason", [
+    ((3,), 2, "coordinate index out of range"),
+    ((-1,), 2, "coordinate index out of range"),
+    ((1, 0), 2, "component keys must be sorted and distinct"),
+    ((1, 1), 2, "component keys must be sorted and distinct"),
+    ((0,), 1, "scalar base dimension mismatch"),
+])
+def test_form_make_checks_component_keys(key, dim, reason):
+    with pytest.raises(ValueError, match=reason):
+        Form.make(CD, {key: FourierScalar.cos_wave((1,) * dim)})
+    # zero components are dropped before the checks
+    assert Form.make(CD, {key: FourierScalar.zero(dim)}).is_zero()
 
 
 def test_form_primitive():
@@ -319,3 +334,35 @@ def test_full_context_reports():
 def test_context_checks_need_a_section(sections):
     with pytest.raises(ValueError, match="sections must be at least 1"):
         run_context_checks(flux_context(), sections=sections)
+
+
+def test_each_bracket_is_computed_once_per_run(monkeypatch):
+    """Nine distinct brackets per section triple: [b,c], [a,[b,c]], [a,b],
+    [[a,b],c], [a,c], [b,[a,c]], [a,f b], [b,a] and the dual-side bracket
+    of the swapped pair."""
+    calls = []
+
+    def counted(s1, s2, ctx):
+        calls.append(1)
+        return dorfman(s1, s2, ctx)
+
+    monkeypatch.setattr(courant, "dorfman", counted)
+    for name, ctx in standard_contexts():
+        calls.clear()
+        assert run_context_checks(ctx, sections=3, seed=7, label=name).ok
+        assert len(calls) == 27
+
+
+def test_checks_read_the_bracket_they_are_given(monkeypatch):
+    """With the i_Y i_X H term dropped from the bracket, the checks that
+    compare it with a flux-twisted structure fail on every standard context."""
+    def flux_free(s1, s2, ctx):
+        x, y = s1.vec, s2.vec
+        form = lie_derivative(x, s2.form) - s1.form.d().interior(y)
+        return GeneralizedSection(x.lie_bracket(y), form)
+
+    monkeypatch.setattr(courant, "dorfman", flux_free)
+    for name, ctx in standard_contexts():
+        checks = dict(run_context_checks(ctx, sections=3, seed=7, label=name).checks)
+        assert checks["derived-bracket identity"] is False, name
+        assert checks["swap intertwines the brackets"] is False, name

@@ -7,7 +7,7 @@ scalars of dimension 1-3 with frequencies in -3..3 and amplitudes over
 denominators 1, 2, 3 and 5 under + - * scale neg partial compose_affine
 constant_term (decks: the identity, the half-shift and the reflection,
 plus one map that sends nonzero frequencies to zero), forms and vector
-fields under wedge d interior pullback lie_derivative form_primitive, and
+fields under scale wedge d interior pullback lie_derivative form_primitive, and
 the symbolic Courant layer on the standard contexts.
 """
 
@@ -213,6 +213,9 @@ def test_form_operations_match_reference(data, dim):
     v, V = data.draw(forms(dim))
     x, X = data.draw(fields(dim))
     y, Y = data.draw(fields(dim))
+    g, G = data.draw(scalars(dim))
+    same(w.scale(g), W.scale(G))
+    same_field(x.scale(g), X.scale(G))
     same(w.wedge(v), W.wedge(V))
     same(w.d(), W.d())
     same(w.interior(x), W.interior(X))
