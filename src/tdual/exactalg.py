@@ -12,9 +12,10 @@ threads.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, cycle
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -174,10 +175,10 @@ class _Smith:
     The elimination is sparse: it does work in proportion to the nonzeros
     it touches, not to the size of the matrix or the remaining block.
 
-    - Rows of A and of L are dicts holding only their nonzeros, and
-      ``rows_of[j]`` is the set of rows with a nonzero in column j of A,
-      kept in step with every row operation.  A column swap touches only
-      the rows in the two sets, and the rows to clear below the pivot are
+    - Rows of A are dicts holding only their nonzeros, and ``rows_of[j]``
+      is the set of rows with a nonzero in column j of A, kept in step
+      with every row operation.  A column swap touches only the rows in
+      the two sets, and the rows to clear below the pivot are
       ``rows_of[t]``.
     - At step t, rows and columns with index below t are zero off the
       diagonal, so in rows >= t only columns >= t can be nonzero and whole
@@ -186,20 +187,19 @@ class _Smith:
       lowest such column: the entry a scan of the whole block picks.
     - A unit pivot divides every entry, so the divisibility pass is
       vacuous and skipped.
-    - Row t of A and L does not change while the rows below it are
-      cleared.  Column t of A is zero off row t while row t is cleared, so
-      a column operation changes only ``A[t][j]`` in A and column j of R.
-    - R is kept as its columns and L is turned into its columns when
-      elimination ends, both as dicts of their nonzeros, so that ``left``,
-      ``solve`` and ``kernel_columns`` read only those.  Only ``diag`` and
-      these columns are kept; D and L are rebuilt on demand.
-    - Each row operation is also appended to a row log and each column
-      operation to a column log, as flat (i, j, c) integer triples (see
-      ``_replay``).  The first ``u_matrix`` or ``v_matrix`` call replays
-      its log into ``Linv`` or ``Rinv``, keeps that matrix and drops the
-      log, so ``smith_normal_form``, ``solve`` and ``kernel_columns`` on
-      one matrix share one factorization.  A factorization whose U and V
-      are never asked for keeps its logs.
+    - Row t of A does not change while the rows below it are cleared.
+      Column t of A is zero off row t while row t is cleared, so a column
+      operation changes only ``A[t][j]``.
+    - The elimination touches A only.  Each row operation is appended to
+      a row log and each column operation to a column log (see
+      ``_apply``), and these logs are the only record of L and R: ``left``
+      and ``right`` apply them to a batch of vectors in one pass, and
+      ``solve``, ``kernel_columns``, ``l_matrix`` and the homology
+      generators go through those two.  ``u_matrix`` and ``v_matrix``
+      replay the same logs into Linv and Rinv (``_replay``), so
+      ``smith_normal_form``, ``solve`` and ``kernel_columns`` on one
+      matrix share one factorization, read in any order.  Only ``diag``
+      and the two logs are kept.
     """
 
     def __init__(self, a: IntMatrix):
@@ -209,9 +209,7 @@ class _Smith:
         for i, row in enumerate(A):
             for j in row:
                 rows_of[j].add(i)
-        L = [{i: 1} for i in range(m)]  # rows of L
-        R = [{j: 1} for j in range(n)]  # columns of R
-        row_log, col_log = [], []       # see _replay
+        row_log, col_log = [], []  # (i, j, c) triples, packed by _pack
 
         t = 0
         while t < min(m, n):
@@ -229,7 +227,6 @@ class _Smith:
                         rows_of[j].remove(t)
                         rows_of[j].add(bi)
                     A[t], A[bi] = new_t, new_b
-                    L[t], L[bi] = L[bi], L[t]
                     row_log += (t, bi, 0)
                 if bj != t:
                     ct, cb = rows_of[t], rows_of[bj]
@@ -241,25 +238,20 @@ class _Smith:
                         if vt:
                             row[bj] = vt
                     rows_of[t], rows_of[bj] = cb, ct
-                    R[t], R[bj] = R[bj], R[t]
                     col_log += (t, bj, 0)
                 At = A[t]
                 if At[t] < 0:
                     A[t] = At = {k: -v for k, v in At.items()}
-                    L[t] = {k: -v for k, v in L[t].items()}
                     row_log += (t, t, 0)
 
                 pivot = At[t]
-                Lt = L[t]
                 for i in [i for i in rows_of[t] if i != t]:
                     q = A[i][t] // pivot
                     if q:  # row i -= q * row t
                         _add_row(A[i], -q, At, rows_of, i)
-                        _add_to(L[i], -q, Lt)
                         row_log += (i, t, -q)
                 if len(rows_of[t]) > 1:
                     continue  # a smaller remainder appeared; re-pivot
-                Rt = R[t]
                 for j in [j for j in At if j != t]:
                     q = At[j] // pivot
                     if q:  # col j -= q * col t
@@ -269,7 +261,6 @@ class _Smith:
                         else:
                             del At[j]
                             rows_of[j].remove(t)
-                        _add_to(R[j], -q, Rt)
                         col_log += (j, t, -q)
                 if len(At) > 1:
                     continue
@@ -282,7 +273,6 @@ class _Smith:
                     break
                 # row t += row bad
                 _add_row(At, 1, A[bad], rows_of, t)
-                _add_to(Lt, 1, L[bad])
                 row_log += (t, bad, 1)
             if found is None:
                 break
@@ -290,13 +280,8 @@ class _Smith:
 
         self.diag = tuple(A[i].get(i, 0) for i in range(min(m, n)))
         self.rank = sum(1 for d in self.diag if d)
-        self._L = [{} for _ in range(m)]  # column k of L
-        for i, row in enumerate(L):
-            for k, v in row.items():
-                self._L[k][i] = v
-        self._R = R                       # column k of R
-        self._u = row_log                 # replaced by Linv on first use
-        self._v = col_log                 # replaced by Rinv on first use
+        self._row_log = _pack(row_log)
+        self._col_log = _pack(col_log)
 
     def d_matrix(self) -> IntMatrix:
         m, n = self.shape
@@ -306,43 +291,34 @@ class _Smith:
 
     def u_matrix(self) -> IntMatrix:
         """Linv, with A = Linv * D * Rinv."""
-        # One read of the slot: two threads calling first may both replay
-        # the unchanged log, and both store the same matrix.
-        u = self._u
-        if isinstance(u, list):
-            m = self.shape[0]
-            u = self._u = IntMatrix(m, m, tuple(zip(*_replay(u, m))))
-        return u
+        m = self.shape[0]
+        return IntMatrix(m, m, tuple(zip(*_replay(self._row_log, m))))
 
     def v_matrix(self) -> IntMatrix:
         """Rinv, with A = Linv * D * Rinv."""
-        v = self._v
-        if isinstance(v, list):
-            n = self.shape[1]
-            v = self._v = IntMatrix(n, n, tuple(map(tuple, _replay(v, n))))
-        return v
+        n = self.shape[1]
+        return IntMatrix(n, n, tuple(map(tuple, _replay(self._col_log, n))))
 
     def l_matrix(self) -> IntMatrix:
         m = self.shape[0]
-        return IntMatrix(m, m, tuple(zip(*(_dense(col, m) for col in self._L))))
+        return IntMatrix(m, m, tuple(zip(*self.left(_units(range(m), m)))))
 
-    def left(self, b: Sequence[int]) -> list[int]:
-        """L b."""
-        out = [0] * self.shape[0]
-        for c, col in zip(b, self._L):
-            if c:
-                for i, v in col.items():
-                    out[i] += c * v
-        return out
+    def left(self, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """L v for each v in ``vectors``."""
+        return _apply(self._row_log, self.shape[0], vectors, False)
+
+    def right(self, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+        """R v for each v in ``vectors``."""
+        return _apply(self._col_log, self.shape[1], vectors, True)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
         """One integer solution of A x = b, free parameters set to zero."""
         m, n = self.shape
         if len(b) != m:
             raise ValueError("rhs length mismatch")
-        c = self.left(b)
+        c, = self.left([b])
         diag = self.diag
-        x = [0] * n  # R y, summed over the nonzeros of y
+        y = [0] * n
         for i, d in enumerate(diag):
             if d == 0:
                 if c[i] != 0:
@@ -350,32 +326,85 @@ class _Smith:
             else:
                 if c[i] % d:
                     raise NoSolution("divisibility obstruction")
-                yi = c[i] // d
-                if yi:
-                    for k, v in self._R[i].items():
-                        x[k] += yi * v
+                y[i] = c[i] // d
         for i in range(len(diag), m):
             if c[i] != 0:
                 raise NoSolution("inconsistent row in diagonalized system")
-        return tuple(x)
+        x, = self.right([y])
+        return x
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel lattice of A."""
         diag, n = self.diag, self.shape[1]
-        return [_dense(col, n) for j, col in enumerate(self._R)
-                if j >= len(diag) or diag[j] == 0]
+        return self.right(_units([j for j in range(n) if j >= len(diag) or diag[j] == 0], n))
 
 
-def _replay(log: list[int], n: int) -> list[list[int]]:
+def _apply(log: tuple[array, list[int]], n: int, vectors: Sequence[Sequence[int]],
+           backward: bool) -> list[tuple[int, ...]]:
+    """The product of the n x n elementary operations in ``log`` with each
+    of ``vectors``, in one pass over the log.
+
+    A log is ``(ij, cs)``: operation k is (ij[2k], ij[2k+1], cs[k]) = (i,
+    j, c), in the order applied.  c != 0 adds c times line j to line i,
+    c == 0 swaps lines i and j, or negates line i when i == j.  For a row
+    log L = E_k ... E_1, so L v applies the operations in log order.  For
+    a column log R = F_1 ... F_k, so R v applies them last-first
+    (``backward``), and the F of "column i += c column j" acts on v as
+    "line j += c line i": reading the index pairs backwards swaps i and
+    j.  Line i holds coordinate i of every vector, as a dict over the
+    vectors where it is nonzero, so each operation costs the nonzeros of
+    its source line in the whole batch.
+    """
+    ij, cs = log
+    lines = [{} for _ in range(n)]
+    for k, v in enumerate(vectors):
+        for i in compress(range(n), v):
+            lines[i][k] = v[i]
+    if backward:
+        it, cs = reversed(ij), reversed(cs)
+    else:
+        it = iter(ij)
+    for i, j, c in zip(it, it, cs):
+        if c:
+            src = lines[j]
+            if src:
+                dst = lines[i]
+                for k, x in src.items():
+                    y = dst.get(k, 0) + c * x
+                    if y:
+                        dst[k] = y
+                    else:
+                        del dst[k]
+        elif i == j:
+            line = lines[i]
+            for k in line:
+                line[k] = -line[k]
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    out = [[0] * n for _ in range(len(vectors))]
+    for i, line in enumerate(lines):
+        for k, x in line.items():
+            out[k][i] = x
+    return list(map(tuple, out))
+
+
+def _pack(log: list[int]) -> tuple[array, list[int]]:
+    """A flat list of (i, j, c) triples as the log ``(ij, cs)`` that
+    ``_apply`` reads: the index pairs in a compact array, the coefficients,
+    which have no bound, in a list."""
+    return array("i", compress(log, cycle((1, 1, 0)))), log[2::3]
+
+
+def _replay(log: tuple[array, list[int]], n: int) -> list[list[int]]:
     """The inverse of the product of the n x n elementary operations in
-    ``log``, a flat list of (i, j, c) triples in the order applied: c != 0
-    adds c times line j to line i, c == 0 swaps lines i and j, or negates
-    line i when i == j.  Each inverse acts on the result's lines the same
-    way, line j -= c * line i; those lines are the columns of L^-1 for a
-    log of row operations and the rows of R^-1 for column operations."""
-    lines = _identity_rows(n)
-    it = iter(log)
-    for i, j, c in zip(it, it, it):
+    ``log`` (see ``_apply``).  Each inverse acts on the result's lines the
+    same way, line j -= c * line i; those lines are the columns of L^-1
+    for a log of row operations and the rows of R^-1 for column
+    operations."""
+    ij, cs = log
+    lines = _units(range(n), n)
+    it = iter(ij)
+    for i, j, c in zip(it, it, cs):
         if c:
             lines[j] = [x - c * y for x, y in zip(lines[j], lines[i])]
         elif i == j:
@@ -403,24 +432,6 @@ def _add_row(row: dict, c: int, v: dict, rows_of: list[set], i: int) -> None:
                 rows_of[k].remove(i)
 
 
-def _add_to(u: dict, c: int, v: dict) -> None:
-    """u += c * v on dicts of nonzeros, c != 0."""
-    get = u.get
-    for k, x in v.items():
-        y = get(k, 0) + c * x
-        if y:
-            u[k] = y
-        else:
-            del u[k]
-
-
-def _dense(col: dict, n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for k, v in col.items():
-        out[k] = v
-    return tuple(out)
-
-
 def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     """The sum of c * vectors[k] over the (k, c) in ``pairs``, each vector
     cut to length n."""
@@ -431,11 +442,14 @@ def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
+def _units(indices, n: int) -> list[list[int]]:
+    """The unit vectors e_i of length n, i in ``indices``."""
+    out = []
+    for i in indices:
+        e = [0] * n
+        e[i] = 1
+        out.append(e)
+    return out
 
 
 def _find_pivot(A: list[dict], t: int) -> Optional[tuple[int, int]]:
@@ -688,15 +702,15 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     s_in = _smith_cached(d_in)
     r = s_in.rank
     tors = [(i, d) for i, d in enumerate(s_in.diag[:r]) if d > 1]
-    units = [tuple(v // d for v in d_in.mul_vec(_dense(s_in._R[i], d_in.cols)))
-             for i, d in tors]
+    units = [tuple(v // d for v in d_in.mul_vec(col))
+             for (_, d), col in zip(tors, s_in.right(_units([i for i, _ in tors], d_in.cols)))]
     kernel = _smith_cached(d_out).kernel_columns()
-    l_kernel = [s_in.left(v) for v in kernel]
+    l_kernel = s_in.left(kernel)
     s_free = _Smith(IntMatrix.from_rows([lk[r:] for lk in l_kernel], cols=n_mid - r).transpose())
     f = s_free.rank
     reps = []
-    for col in s_free._R[:f]:
-        rep, l_rep = _combine(col.items(), kernel, n_mid), _combine(col.items(), l_kernel, r)
+    for col in s_free.right(_units(range(f), len(kernel))):
+        rep, l_rep = _combine(enumerate(col), kernel, n_mid), _combine(enumerate(col), l_kernel, r)
         reps.append(tuple(_combine(enumerate([1] + [-l_rep[i] for i, _ in tors]),
                                    [rep] + units, n_mid)))
 
@@ -705,8 +719,8 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
             raise ValueError("cycle has wrong length")
         if any(d_out.mul_vec(cycle)):
             raise ValueError("not a cycle")
-        y = s_in.left(cycle)
-        return tuple(s_free.left(y[r:])[:f]) + tuple(y[i] % d for i, d in tors)
+        y, = s_in.left([cycle])
+        return tuple(s_free.left([y[r:]])[0][:f]) + tuple(y[i] % d for i, d in tors)
 
     group = FGAbelianGroup(f, tuple(d for _, d in tors))
     return GroupData(group, tuple(reps) + tuple(units), class_of)

@@ -9,11 +9,11 @@ and ``class_of`` map computed downstream.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import DenseSmith, dense_mul
-from tdual import catalog
+from tdual import catalog, exactalg
 from tdual.bundles import TotalComplex
 from tdual.complexes import coboundary_matrix, z2_rescaling
 from tdual.exactalg import (
@@ -21,8 +21,12 @@ from tdual.exactalg import (
     NoSolution,
     _Smith,
     _smith_cached,
+    homology_at,
+    homology_at_transpose,
+    homology_rank_at,
     hstack,
     kernel_basis,
+    rank_of,
     smith_normal_form,
     solve_integer,
     solve_mod,
@@ -225,6 +229,79 @@ def test_one_factorization_serves_snf_kernel_and_solve():
     s = _Smith(a)
     assert s.u_matrix() == s.u_matrix() == ref.u_matrix() == u
     assert s.v_matrix() == s.v_matrix() == ref.v_matrix() == v
+
+
+@st.composite
+def matrix_and_batches(draw):
+    """A matrix with 0 to 8 rows and columns, entries within 30, and for
+    each of its two vector lengths batches of 0, 1 and 5 vectors; the
+    batch of 5 holds one or more zero vectors among the others."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entries = st.integers(-30, 30)
+    a = IntMatrix(rows, cols, tuple(tuple(draw(st.lists(entries, min_size=cols, max_size=cols)))
+                                    for _ in range(rows)))
+
+    def batches(n):
+        def vector():
+            return tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+        five = [vector() for _ in range(5)]
+        for k in draw(st.sets(st.integers(0, 4), min_size=1, max_size=3)):
+            five[k] = (0,) * n
+        return [[], [vector()], five]
+
+    return a, batches(rows), batches(cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_and_batches())
+@example((IntMatrix.zeros(0, 4), [[], [()], [()] * 5], [[], [(1, 0, 0, -2)], [(0,) * 4] * 5]))
+@example((IntMatrix.zeros(4, 0), [[], [(3, 0, 0, 1)], [(0,) * 4] * 5], [[], [()], [()] * 5]))
+def test_log_applier_matches_dense_transforms(case):
+    """``left``/``right`` apply the operation logs to a batch in one pass;
+    each product equals L v / R v with the dense reference's L and R."""
+    a, left_batches, right_batches = case
+    s, ref = _Smith(a), DenseSmith(a, full=True)
+    m, n = a.rows, a.cols
+    l, r = ref.l_matrix(), IntMatrix(n, n, tuple(map(tuple, ref._R)))
+    for batch in left_batches:
+        assert s.left(batch) == [l.mul_vec(v) for v in batch]
+    for batch in right_batches:
+        assert s.right(batch) == [r.mul_vec(v) for v in batch]
+
+
+def test_reads_come_in_any_order_on_one_factorization():
+    """Smith form, solve and kernel read the same cached logs in either
+    order, and give the same values: no read consumes what a later one
+    needs."""
+    a = dense_matrix(random.Random(11), 8, 10)
+    b = a.mul_vec([1, -2, 0, 3, 1, 0, -1, 2, 0, 1])
+    forward = (smith_normal_form, lambda a: solve_integer(a, b), kernel_basis)
+
+    _smith_cached.cache_clear()
+    first = [read(a) for read in forward]
+    again = [read(a) for read in reversed(forward)][::-1]
+    assert _smith_cached.cache_info().misses == 1
+    _smith_cached.cache_clear()
+    reverse_first = [read(a) for read in reversed(forward)][::-1]
+    assert first == again == reverse_first
+    u, d, v = first[0]
+    assert u.mul(d).mul(v) == a and a.mul_vec(first[1]) == b
+
+
+def test_group_reads_do_no_transform_work(monkeypatch):
+    """Groups and ranks come off the Smith diagonals alone; generators are
+    the first read that applies a log."""
+    applied = []
+    apply_log = exactalg._apply
+    monkeypatch.setattr(exactalg, "_apply", lambda *args: applied.append(1) or apply_log(*args))
+    info = catalog.space("sigma", g=2)
+    d_in, d_out = (coboundary_matrix(info.complex, k, info.xi()) for k in (0, 1))
+    _smith_cached.cache_clear()
+    cohomology = homology_at(d_in, d_out)
+    assert cohomology.group == homology_at_transpose(d_in, d_out).group
+    assert rank_of(d_out) + homology_rank_at(d_in, d_out) == d_out.cols - rank_of(d_in)
+    assert cohomology.group.torsion and not applied
+    assert cohomology.representatives and applied
 
 
 @pytest.mark.parametrize("rows,cols", [(0, 0), (0, 4), (4, 0)])
