@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, cycle
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -46,6 +46,14 @@ class IntMatrix:
         for r in self.data:
             if len(r) != self.cols:
                 raise ValueError("column count mismatch")
+
+    def __hash__(self) -> int:
+        # Computed once and kept: matrices key the Smith cache, and hashing
+        # reads every entry.  Equality still compares the fields.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.rows, self.cols, self.data))
+        return h
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -190,19 +198,18 @@ class _Smith:
     - Row t of A does not change while the rows below it are cleared.
       Column t of A is zero off row t while row t is cleared, so a column
       operation changes only ``A[t][j]``.
-    - The elimination touches A only.  Each row operation is appended to
-      a row log and each column operation to a column log (see
-      ``_apply``), and these logs are the only record of L and R: ``left``
-      and ``right`` apply them to a batch of vectors in one pass, and
-      ``solve``, ``kernel_columns``, ``l_matrix`` and the homology
-      generators go through those two.  ``u_matrix`` and ``v_matrix``
-      replay the same logs into Linv and Rinv (``_replay``), so
-      ``smith_normal_form``, ``solve`` and ``kernel_columns`` on one
-      matrix share one factorization, read in any order.  Only ``diag``
-      and the two logs are kept.
+    - The elimination touches A only.  Its row and column operations are
+      appended to a row log and a column log, the only record of L and R,
+      and ``_apply`` multiplies a batch of vectors by L, R or their
+      inverses in one pass.  Only ``diag``, the input and the two logs are
+      kept, so all reads share one factorization, in any order.
+    - As A R = Linv D, column i < rank of Linv is A R e_i / d_i (d_i > 0),
+      through the column log: only the other columns go through the row
+      log, several times longer than the column log on dense input.
     """
 
     def __init__(self, a: IntMatrix):
+        self._a = a
         self.shape = m, n = a.rows, a.cols
         A = [dict(zip(compress(range(n), row), filter(None, row))) for row in a.data]
         rows_of = [set() for _ in range(n)]
@@ -290,26 +297,29 @@ class _Smith:
                                      for i in range(m)))
 
     def u_matrix(self) -> IntMatrix:
-        """Linv, with A = Linv * D * Rinv."""
-        m = self.shape[0]
-        return IntMatrix(m, m, tuple(zip(*_replay(self._row_log, m))))
+        """Linv, with A = Linv * D * Rinv: column i < rank is A R e_i / d_i,
+        the others Linv e_i through the row log."""
+        (m, n), r, diag = self.shape, self.rank, self.diag
+        image = self._a.mul(_columns(self.right(_units(range(r), n)), n))
+        image = IntMatrix(m, r, tuple(tuple(x // d for x, d in zip(row, diag)) for row in image.data))
+        return hstack([image, _columns(_apply(self._row_log, m, _units(range(r, m), m), False, True), m)])
 
     def v_matrix(self) -> IntMatrix:
         """Rinv, with A = Linv * D * Rinv."""
         n = self.shape[1]
-        return IntMatrix(n, n, tuple(map(tuple, _replay(self._col_log, n))))
+        return _columns(_apply(self._col_log, n, _units(range(n), n), True, True), n)
 
     def l_matrix(self) -> IntMatrix:
         m = self.shape[0]
-        return IntMatrix(m, m, tuple(zip(*self.left(_units(range(m), m)))))
+        return _columns(self.left(_units(range(m), m)), m)
 
     def left(self, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         """L v for each v in ``vectors``."""
-        return _apply(self._row_log, self.shape[0], vectors, False)
+        return _apply(self._row_log, self.shape[0], vectors, False, False)
 
     def right(self, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
         """R v for each v in ``vectors``."""
-        return _apply(self._col_log, self.shape[1], vectors, True)
+        return _apply(self._col_log, self.shape[1], vectors, True, False)
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
         """One integer solution of A x = b, free parameters set to zero."""
@@ -339,32 +349,39 @@ class _Smith:
         return self.right(_units([j for j in range(n) if j >= len(diag) or diag[j] == 0], n))
 
 
-def _apply(log: tuple[array, list[int]], n: int, vectors: Sequence[Sequence[int]],
-           backward: bool) -> list[tuple[int, ...]]:
-    """The product of the n x n elementary operations in ``log`` with each
-    of ``vectors``, in one pass over the log.
+def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequence[int]],
+           columns: bool, inverse: bool) -> list[tuple[int, ...]]:
+    """The product of the n x n elementary operations in ``log``, or of
+    their inverse, with each of ``vectors``, in one pass over the log.
 
-    A log is ``(ij, cs)``: operation k is (ij[2k], ij[2k+1], cs[k]) = (i,
-    j, c), in the order applied.  c != 0 adds c times line j to line i,
-    c == 0 swaps lines i and j, or negates line i when i == j.  For a row
-    log L = E_k ... E_1, so L v applies the operations in log order.  For
-    a column log R = F_1 ... F_k, so R v applies them last-first
-    (``backward``), and the F of "column i += c column j" acts on v as
-    "line j += c line i": reading the index pairs backwards swaps i and
-    j.  Line i holds coordinate i of every vector, as a dict over the
-    vectors where it is nonzero, so each operation costs the nonzeros of
-    its source line in the whole batch.
+    Operation k of a log ``(i, j, c)`` is (i[k], j[k], c[k]): c != 0 adds c
+    times line j to line i, c == 0 swaps lines i and j, or negates line i
+    when i == j.  A row log holds L = E_k ... E_1, a column log
+    R = F_1 ... F_k, whose F acts on a vector as line j += c line i.  So:
+
+    - L v: the row log in order, line i += c line j;
+    - L^-1 v (``inverse``): the row log last-first, line i -= c line j;
+    - R v (``columns``): the column log last-first, line j += c line i;
+    - R^-1 v (both): the column log in order, line j -= c line i.
+
+    Line i holds coordinate i of every vector, as a dict over the vectors
+    where it is nonzero, so each operation costs the nonzeros of its
+    source line in the whole batch; an empty batch reads no log.
     """
-    ij, cs = log
+    if not vectors:
+        return []
+    ii, jj, cs = log
+    if columns:
+        ii, jj = jj, ii
+    if inverse:
+        cs = [-c for c in cs]
+    if columns != inverse:
+        ii, jj, cs = reversed(ii), reversed(jj), reversed(cs)
     lines = [{} for _ in range(n)]
     for k, v in enumerate(vectors):
         for i in compress(range(n), v):
             lines[i][k] = v[i]
-    if backward:
-        it, cs = reversed(ij), reversed(cs)
-    else:
-        it = iter(ij)
-    for i, j, c in zip(it, it, cs):
+    for i, j, c in zip(ii, jj, cs):
         if c:
             src = lines[j]
             if src:
@@ -388,30 +405,10 @@ def _apply(log: tuple[array, list[int]], n: int, vectors: Sequence[Sequence[int]
     return list(map(tuple, out))
 
 
-def _pack(log: list[int]) -> tuple[array, list[int]]:
-    """A flat list of (i, j, c) triples as the log ``(ij, cs)`` that
-    ``_apply`` reads: the index pairs in a compact array, the coefficients,
-    which have no bound, in a list."""
-    return array("i", compress(log, cycle((1, 1, 0)))), log[2::3]
-
-
-def _replay(log: tuple[array, list[int]], n: int) -> list[list[int]]:
-    """The inverse of the product of the n x n elementary operations in
-    ``log`` (see ``_apply``).  Each inverse acts on the result's lines the
-    same way, line j -= c * line i; those lines are the columns of L^-1
-    for a log of row operations and the rows of R^-1 for column
-    operations."""
-    ij, cs = log
-    lines = _units(range(n), n)
-    it = iter(ij)
-    for i, j, c in zip(it, it, cs):
-        if c:
-            lines[j] = [x - c * y for x, y in zip(lines[j], lines[i])]
-        elif i == j:
-            lines[i] = [-x for x in lines[i]]
-        else:
-            lines[i], lines[j] = lines[j], lines[i]
-    return lines
+def _pack(log: list[int]) -> tuple[array, array, list[int]]:
+    """A flat list of (i, j, c) triples as the log that ``_apply`` reads:
+    the i and the j in compact arrays, the unbounded c in a list."""
+    return array("i", log[0::3]), array("i", log[1::3]), log[2::3]
 
 
 def _add_row(row: dict, c: int, v: dict, rows_of: list[set], i: int) -> None:
@@ -442,14 +439,14 @@ def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
+def _columns(vectors: Sequence[tuple[int, ...]], n: int) -> IntMatrix:
+    """The n-row matrix whose columns are ``vectors``."""
+    return IntMatrix(len(vectors), n, tuple(vectors)).transpose()
+
+
 def _units(indices, n: int) -> list[list[int]]:
     """The unit vectors e_i of length n, i in ``indices``."""
-    out = []
-    for i in indices:
-        e = [0] * n
-        e[i] = 1
-        out.append(e)
-    return out
+    return [[0] * i + [1] + [0] * (n - 1 - i) for i in indices]
 
 
 def _find_pivot(A: list[dict], t: int) -> Optional[tuple[int, int]]:

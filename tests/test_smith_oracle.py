@@ -231,6 +231,28 @@ def test_one_factorization_serves_snf_kernel_and_solve():
     assert s.v_matrix() == s.v_matrix() == ref.v_matrix() == v
 
 
+def test_equal_matrices_hash_equal_and_share_one_factorization():
+    rows = [[3, 0, -1], [2, 5, 0]]
+    a, b = IntMatrix.from_rows(rows), IntMatrix(2, 3, tuple(map(tuple, rows)))
+    assert a is not b and a == b and hash(a) == hash(b) == hash(a)
+    _smith_cached.cache_clear()
+    assert _smith_cached(a) is _smith_cached(b)
+    assert _smith_cached.cache_info().misses == 1
+
+
+def test_matrix_hash_reads_the_entries_once():
+    hashed = []
+
+    class Entry(int):
+        def __hash__(self):
+            hashed.append(self)
+            return int.__hash__(self)
+
+    a = IntMatrix(2, 2, ((Entry(1), Entry(0)), (Entry(0), Entry(2))))
+    assert hash(a) == hash(a) == hash(IntMatrix.from_rows([[1, 0], [0, 2]]))
+    assert len(hashed) == 4
+
+
 @st.composite
 def matrix_and_batches(draw):
     """A matrix with 0 to 8 rows and columns, entries within 30, and for
@@ -258,15 +280,70 @@ def matrix_and_batches(draw):
 @example((IntMatrix.zeros(4, 0), [[], [(3, 0, 0, 1)], [(0,) * 4] * 5], [[], [()], [()] * 5]))
 def test_log_applier_matches_dense_transforms(case):
     """``left``/``right`` apply the operation logs to a batch in one pass;
-    each product equals L v / R v with the dense reference's L and R."""
+    each product equals L v / R v with the dense reference's L and R, and
+    the inverse direction gives L^-1 v / R^-1 v with its U and V."""
     a, left_batches, right_batches = case
     s, ref = _Smith(a), DenseSmith(a, full=True)
     m, n = a.rows, a.cols
     l, r = ref.l_matrix(), IntMatrix(n, n, tuple(map(tuple, ref._R)))
+    u, v = ref.u_matrix(), ref.v_matrix()
     for batch in left_batches:
-        assert s.left(batch) == [l.mul_vec(v) for v in batch]
+        assert s.left(batch) == [l.mul_vec(x) for x in batch]
+        assert exactalg._apply(s._row_log, m, batch, False, True) == [u.mul_vec(x) for x in batch]
     for batch in right_batches:
-        assert s.right(batch) == [r.mul_vec(v) for v in batch]
+        assert s.right(batch) == [r.mul_vec(x) for x in batch]
+        assert exactalg._apply(s._col_log, n, batch, True, True) == [v.mul_vec(x) for x in batch]
+
+
+FULL_ROW_RANK = IntMatrix.from_rows([[2, 1, 0, 3, -1, 0],
+                                     [0, 1, 4, 0, 2, -3],
+                                     [1, 0, -2, 5, 0, 1],
+                                     [3, -1, 0, 0, 1, 2]])
+
+
+def planted_dependent_row():
+    """A 7 x 4 matrix whose last row is row 0 plus twice row 3."""
+    rows = [list(r) for r in dense_matrix(random.Random(17), 6, 4, bound=9).data]
+    return IntMatrix.from_rows(rows + [[x + 2 * y for x, y in zip(rows[0], rows[3])]])
+
+
+# Smith diagonal 1, 2, 6, 36, 36, so the image columns divide by d_i > 1,
+# and a sixth row, the sum of the first two, so U has a cokernel column.
+DIAGONAL_HEAVY = IntMatrix.from_rows([[0, 6, 0, 0, 2], [4, 0, 0, 0, 0], [0, 0, 0, 12, 0],
+                                      [0, 0, 9, 0, 0], [2, 0, 0, 0, 6], [4, 6, 0, 0, 2]])
+
+
+@pytest.mark.parametrize("a,diag", [
+    (IntMatrix.zeros(3, 4), (0, 0, 0)),
+    (FULL_ROW_RANK, (1, 1, 1, 1)),
+    (planted_dependent_row(), (1, 1, 1, 1)),
+    (DIAGONAL_HEAVY, (1, 2, 6, 36, 36)),
+], ids=["zero-3x4", "full-row-rank-4x6", "tall-7x4-dependent-row", "diagonal-heavy-6x5"])
+def test_u_from_image_and_cokernel_columns_matches_dense(a, diag):
+    """U's first rank columns are A R e_i / d_i, the others L^-1 e_i from
+    the row log; both parts equal the dense reference's U."""
+    s, ref = _Smith(a), DenseSmith(a, full=True)
+    assert s.diag == ref.diag == diag
+    assert s.u_matrix() == ref.u_matrix()
+    assert s.v_matrix() == ref.v_matrix()
+    assert s.u_matrix().mul(s.d_matrix()).mul(s.v_matrix()) == a
+
+
+def test_u_of_full_row_rank_applies_no_row_operation(monkeypatch):
+    """With rank = rows, every column of U comes from A R e_i / d_i: the
+    row log, several times as long as the column log on dense input, is
+    applied to no vector."""
+    batches = []
+    apply_log = exactalg._apply
+
+    def recording(log, n, vectors, columns, inverse):
+        batches.append((log, vectors))
+        return apply_log(log, n, vectors, columns, inverse)
+
+    monkeypatch.setattr(exactalg, "_apply", recording)
+    s = _Smith(FULL_ROW_RANK)
+    assert s.u_matrix() == DenseSmith(FULL_ROW_RANK, full=True).u_matrix()
+    assert batches and all(not vectors for log, vectors in batches if log is s._row_log)
 
 
 def test_reads_come_in_any_order_on_one_factorization():
