@@ -32,7 +32,6 @@ from .exactalg import (
     homology_at,
     homology_at_mod,
     homology_at_transpose,
-    homology_rank_at,
     solve_integer,
     solve_mod,
 )
@@ -455,8 +454,9 @@ class ChainComplex:
         """H^0..H^dim: the groups at once, generator cocycles and class_of
         maps on first use.
 
-        ``ring`` is "Z", "Q" (ranks only), or an int m >= 2 for Z/m
-        coefficients; anything else raises ValueError.
+        ``ring`` is "Z", "Q" (the free ranks of the Z groups) or an int m >= 2
+        (Z/m, off the Z Smith forms by universal coefficients, so delta must
+        square to zero over Z); anything else raises ValueError.
         """
         return _groups(self, ring, False)
 
@@ -472,17 +472,16 @@ def _groups(cx: ChainComplex, ring, transposed: bool) -> tuple[GroupData, ...]:
     if not (ring in (RING_Z, RING_Q) or (type(ring) is int and ring >= 2)):
         raise ValueError(f"ring must be {RING_Z!r}, {RING_Q!r} or an int modulus >= 2, "
                          f"not {ring!r}")
+    if ring == RING_Q:  # transposing keeps ranks, so H_k and H^k agree over Q
+        return tuple(GroupData(FGAbelianGroup(h.group.free_rank)) for h in _groups(cx, RING_Z, False))
     out = []
     for k in range(cx.dim + 1):
         d_in, d_out = cx.delta(k - 1), cx.delta(k)
-        if ring == RING_Q:  # transposing keeps ranks, so H_k and H^k agree over Q
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out))))
-        elif ring == RING_Z:
+        if ring == RING_Z:
             out.append((homology_at_transpose if transposed else homology_at)(d_in, d_out))
-        else:
-            if transposed:  # H_k = ker(delta^{k-1} transposed) / im(delta^k transposed)
-                d_in, d_out = d_out.transpose(), d_in.transpose()
-            out.append(homology_at_mod(d_in, d_out, ring))
+        else:  # H_k = ker(delta^{k-1} transposed) / im(delta^k transposed)
+            pair = (d_out.transpose(), d_in.transpose()) if transposed else (d_in, d_out)
+            out.append(homology_at_mod(*pair, ring))
     return tuple(out)
 
 
@@ -512,7 +511,8 @@ def cochain_complex(x: DeltaComplex, system: System = None) -> ChainComplex:
 def cohomology(x: DeltaComplex, system: System = None, ring=RING_Z) -> list[GroupData]:
     """H^0..H^D with generator cocycles and class_of maps.
 
-    ``ring`` is "Z", "Q", or an int modulus m >= 2 for Z/m coefficients.
+    ``ring`` is "Z", "Q", or an int modulus m >= 2 for Z/m coefficients,
+    both derived from the integral groups (``ChainComplex.cohomology``).
     """
     return list(cochain_complex(x, system).cohomology(ring))
 

@@ -16,6 +16,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
@@ -113,9 +114,6 @@ class IntMatrix:
 
     def scale(self, c: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
-
-    def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(x % m for x in row) for row in self.data))
 
 
 def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -724,50 +722,51 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
 
 
 def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
-    """Homology of the complex reduced mod m: ``homology_at`` on the
-    integer cone of multiplication by m,
-
-        d_in' = [[d_in, m I], [d_out d_in / m, d_out]],  d_out' = [d_out | -m I],
-
-    whose middle term C_mid (+) C_out holds the cycle x mod m as
-    (x, d_out x / m).  The group is the cone's, read at once; the
-    generators, built on first use, are the first n_mid entries of the
-    cone's generators; ``class_of`` takes any integer x with
-    d_out x = 0 (mod m).
+    """ker(d_out)/im(d_in) over Z/m, m >= 2, for maps that compose to zero
+    over Z, by universal coefficients (Hatcher, *Algebraic Topology*, Thm
+    3.2): H (x) Z/m (+) Tor(coker d_out, Z/m), H = ``homology_at``.  The
+    group is read at once: Z/m per free generator of H and Z/gcd(d, m) per
+    invariant factor d > 1 of d_in and of d_out, ordered by the Smith form
+    S of their diagonal.  Generators, built on first use, are H's and
+    (m/g) R_out e_i per factor d_i of d_out with g = gcd(d_i, m) > 1,
+    recombined by S's U.  For x with d_out x = 0 (mod m) and
+    w = L_out d_out x / m, ``class_of`` reads the Tor coordinates
+    w_i g / d_i, and H's class_of the cycle x - R_out y, y_i = m w_i / d_i.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    if d_in.rows != d_out.cols:
-        raise ValueError("middle dimensions disagree")
-    dd = d_out.mul(d_in)
-    if not dd.mod(m).is_zero():
-        raise CompositionNotZero("d_out . d_in != 0 (mod m)")
-    n_mid, n_out = d_in.rows, d_out.rows
-    dd_m = IntMatrix(dd.rows, dd.cols, tuple(tuple(v // m for v in row) for row in dd.data))
-    cone = homology_at(block_matrix([[d_in, IntMatrix.identity(n_mid).scale(m)], [dd_m, d_out]]),
-                       hstack([d_out, IntMatrix.identity(n_out).scale(-m)]))
+    integral = homology_at(d_in, d_out)
+    s_out, n_mid, h = _smith_cached(d_out), d_in.rows, integral.group
+    factors = s_out.diag[:s_out.rank]
+    tor = [(i, g) for i, d in enumerate(factors) if (g := gcd(d, m)) > 1]
+    orders = [m] * h.free_rank + [gcd(d, m) for d in h.torsion] + [g for _, g in tor]
+    s = _smith_cached(IntMatrix.from_rows([[o if i == j else 0 for j in range(len(orders))]
+                                           for i, o in enumerate(orders)], cols=len(orders)))
+    units = s.diag.count(1)
+    group = FGAbelianGroup(0, s.diag[units:])
 
     def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
-        if len(cycle) != n_mid:
-            raise ValueError("cycle has wrong length")
-        image = d_out.mul_vec(cycle)
+        image = d_out.mul_vec(cycle)  # raises ValueError on a wrong length
         if any(v % m for v in image):
             raise ValueError("not a cycle")
-        return cone.class_of(tuple(cycle) + tuple(v // m for v in image))
+        w, = s_out.left([[v // m for v in image]])
+        y, = s_out.right([[m * x // d for x, d in zip(w, factors)] + [0] * (n_mid - len(factors))])
+        c = integral.class_of([a - b for a, b in zip(cycle, y)]) + tuple(w[i] * g // factors[i]
+                                                                           for i, g in tor)
+        return tuple(x % d for x, d in zip(s.left([c])[0][units:], group.torsion))
 
-    return GroupData.deferred(cone.group, lambda: GroupData(
-        cone.group, tuple(rep[:n_mid] for rep in cone.representatives), class_of))
+    def build() -> GroupData:
+        tor_gens = s_out.right(_units([i for i, _ in tor], n_mid))
+        gens = list(integral.representatives) + [[m // g * v for v in col]
+                                                 for (_, g), col in zip(tor, tor_gens)]
+        return GroupData(group, [tuple(_combine(enumerate(col), gens, n_mid))
+                                 for col in s.u_matrix().transpose().data[units:]], class_of)
+
+    return GroupData.deferred(group, build)
 
 
 def rank_of(a: IntMatrix) -> int:
     return _smith_cached(a).rank
-
-
-def homology_rank_at(d_in: IntMatrix, d_out: IntMatrix) -> int:
-    """Dimension over Q of ker(d_out)/im(d_in)."""
-    if not d_out.mul(d_in).is_zero():
-        raise CompositionNotZero("d_out . d_in != 0")
-    return d_in.rows - rank_of(d_out) - rank_of(d_in)
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], m: int) -> tuple[int, ...]:

@@ -30,7 +30,6 @@ from tdual.exactalg import (
     block_matrix,
     homology_at,
     homology_at_mod,
-    homology_rank_at,
 )
 
 
@@ -51,7 +50,7 @@ def cohomology(x: DeltaComplex, system: System = None, ring=RING_Z) -> list[Grou
         if ring == RING_Z:
             out.append(homology_at(d_in, d_out))
         elif ring == RING_Q:
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
+            out.append(GroupData(FGAbelianGroup(homology_at(d_in, d_out).group.free_rank), ()))
         else:
             out.append(homology_at_mod(d_in, d_out, int(ring)))
     return out
@@ -68,7 +67,7 @@ def homology(x: DeltaComplex, system: System = None, ring=RING_Z) -> list[GroupD
         if ring == RING_Z:
             out.append(homology_at(d_in, d_out))
         elif ring == RING_Q:
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
+            out.append(GroupData(FGAbelianGroup(homology_at(d_in, d_out).group.free_rank), ()))
         else:
             out.append(homology_at_mod(d_in, d_out, int(ring)))
     return out
@@ -99,7 +98,7 @@ def total_cohomology(bundle, zkey: tuple, ring) -> tuple[GroupData, ...]:
         if ring == "Z":
             out.append(homology_at(d_in, d_out))
         elif ring == "Q":
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
+            out.append(GroupData(FGAbelianGroup(homology_at(d_in, d_out).group.free_rank), ()))
         else:
             out.append(homology_at_mod(d_in, d_out, int(ring)))
     return tuple(out)
@@ -116,7 +115,7 @@ def total_homology(bundle, zkey: tuple, ring) -> tuple[GroupData, ...]:
         if ring == "Z":
             out.append(homology_at(d_in, d_out))
         elif ring == "Q":
-            out.append(GroupData(FGAbelianGroup(homology_rank_at(d_in, d_out)), ()))
+            out.append(GroupData(FGAbelianGroup(homology_at(d_in, d_out).group.free_rank), ()))
         else:
             out.append(homology_at_mod(d_in, d_out, int(ring)))
     return tuple(out)

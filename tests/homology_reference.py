@@ -97,7 +97,7 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
         raise ValueError("modulus must be >= 2")
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
-    if not d_out.mul(d_in).mod(m).is_zero():
+    if any(v % m for row in d_out.mul(d_in).data for v in row):
         raise CompositionNotZero("d_out . d_in != 0 (mod m)")
     n_mid = d_in.rows
     n_out = d_out.rows

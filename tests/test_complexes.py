@@ -366,7 +366,9 @@ def test_bockstein_requires_cocycle():
 
 def test_groups_are_read_without_generator_factorizations(monkeypatch):
     """Cohomology groups factor the coboundaries through the cache and
-    nothing else; homology groups read after them factor nothing new."""
+    nothing else; homology groups and Q groups read after them factor
+    nothing new, and Z/m cohomology groups only the small diagonal of
+    their summand orders."""
     built = []
 
     class CountingSmith(exactalg._Smith):
@@ -382,4 +384,12 @@ def test_groups_are_read_without_generator_factorizations(monkeypatch):
     misses = exactalg._smith_cached.cache_info().misses
     assert len(built) == misses
     assert [g.group for g in homology(x)] == [FG(1), FG(6), FG(1)]
+    assert [g.group for g in cohomology(x, ring="Q")] == [FG(1), FG(6), FG(1)]
+    assert [g.group for g in homology(x, ring="Q")] == [FG(1), FG(6), FG(1)]
     assert exactalg._smith_cached.cache_info().misses == misses == len(built)
+    assert [g.group for g in cohomology(x, ring=2)] == [FG(0, (2,)), FG(0, (2,) * 6), FG(0, (2,))]
+    assert [g.group for g in cohomology(x, ring=3)] == [FG(0, (3,)), FG(0, (3,) * 6), FG(0, (3,))]
+    n_mid = max(map(x.count, range(x.dimension + 1)))
+    for a in built[misses:]:
+        assert a.rows == a.cols <= n_mid
+        assert all(v == 0 for i, row in enumerate(a.data) for j, v in enumerate(row) if i != j)

@@ -272,9 +272,33 @@ def test_homology_at_mod():
     d_out = IntMatrix.zeros(0, 1)
     h = homology_at_mod(d_in, d_out, 2)
     assert h.group == FGAbelianGroup(0, (2,))
-    # multiplication by 2 on Z, mod 4: kernel = 2Z/4Z, image = 2Z/4Z
-    h = homology_at_mod(mat([[2]]), mat([[2]]), 4)
-    assert h.group == FGAbelianGroup(0)
-    # mod 2 it is Z/2 in the middle: ker(0)/im(0)
-    h = homology_at_mod(mat([[2]]), mat([[2]]), 2)
+    # tensor part only: H = Z/2 from d_in = 2, so H (x) Z/4 = Z/2
+    h = homology_at_mod(mat([[2]]), IntMatrix.zeros(0, 1), 4)
     assert h.group == FGAbelianGroup(0, (2,))
+    assert h.representatives == ((1,),)
+    assert [h.class_of(x) for x in ((1,), (2,), (3,), (4,))] == [(1,), (0,), (1,), (0,)]
+    # Tor part only: H = 0 and Tor(coker 2, Z/4) = Z/2, generated by (4/2) e
+    h = homology_at_mod(IntMatrix.zeros(1, 0), mat([[2]]), 4)
+    assert h.group == FGAbelianGroup(0, (2,))
+    assert h.representatives == ((2,),)
+    assert [h.class_of(x) for x in ((2,), (4,), (6,), (-2,))] == [(1,), (0,), (1,), (1,)]
+    with pytest.raises(ValueError):
+        h.class_of((1,))
+    # Tor(coker 4, Z/2) = Z/2: the coordinate of e is (4 e / 2) g / d = 1, not 4 e / 2
+    h = homology_at_mod(IntMatrix.zeros(1, 0), mat([[4]]), 2)
+    assert h.group == FGAbelianGroup(0, (2,)) and h.representatives == ((1,),)
+    assert [h.class_of(x) for x in ((1,), (2,), (3,))] == [(1,), (0,), (1,)]
+    # Z/2 (tensor part, e_0) and Z/3 (Tor part, 2 e_1) recombine into Z/6
+    d_in, d_out = mat([[2], [0]]), mat([[0, 3]])
+    h = homology_at_mod(d_in, d_out, 6)
+    assert h.group == FGAbelianGroup(0, (6,))
+    rep, = h.representatives
+    assert h.class_of(rep) == (1,)
+    assert all(v % 6 == 0 for v in d_out.mul_vec(rep))
+    assert h.class_of((1, 0)) == (3,)  # the element of order 2
+    third, = h.class_of((0, 2))
+    assert third in (2, 4)  # an element of order 3
+    assert h.class_of((1, 2)) == ((3 + third) % 6,)
+    assert h.class_of((2, 0)) == h.class_of((0, 6)) == h.class_of((6, 0)) == (0,)
+    with pytest.raises(ValueError):
+        h.class_of((0, 1))

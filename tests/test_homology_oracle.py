@@ -10,8 +10,10 @@ non-cycle; and the old ``class_of`` of the new generators and the new
 torsion orders.  The cases are the base and total complexes of the
 catalog spaces below (bundles j in 0..2, both coefficient systems) and
 the correspondence complex of flux k = 1 on bundle j = 1, in cohomology
-and homology over Z, Z/2 and Z/3, and random pairs d_in = P [D; 0] Q, d_out = [m X | M] P^-1 with P
-and Q unimodular (X = 0 over Z).
+and homology over Z, Z/2 and Z/3, and random pairs d_in = P [D; 0] Q,
+d_out = [0 | M] P^-1 with P and Q unimodular, over Z, Z/2, Z/3, Z/4 and
+Z/6.  Z/m homology is read off an integer complex, so every pair
+composes to zero over Z; one that does so only mod m is refused.
 
 The group is read off the Smith diagonals before any generator exists,
 so each case also checks it against the group the forced generators
@@ -31,6 +33,7 @@ from tdual import catalog
 from tdual.bundles import BundleDescriptor, TotalComplex
 from tdual.complexes import ChainComplex, cochain_complex
 from tdual.exactalg import (
+    CompositionNotZero,
     IntMatrix,
     PresentedGroup,
     _generators,
@@ -209,7 +212,7 @@ def product(a, b):
 
 @st.composite
 def composable_pairs(draw):
-    ring = draw(st.sampled_from(RINGS))
+    ring = draw(st.sampled_from(RINGS + (4, 6)))  # Z/6 = Z/2 + Z/3 recombines
     n_mid, n_in, n_out = draw(st.integers(0, 6)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
     r = draw(st.integers(0, min(n_mid, n_in)))
     p, p_inv = draw(unimodular(n_mid))
@@ -217,9 +220,7 @@ def composable_pairs(draw):
     small = st.integers(-3, 3)
     diag = [draw(st.integers(0, 6)) for _ in range(r)]
     middle = [[diag[i] if i == j and i < r else 0 for j in range(n_in)] for i in range(n_mid)]
-    m = 0 if ring == "Z" else ring
-    right = [[m * draw(small) if j < r else draw(small) for j in range(n_mid)]
-             for _ in range(n_out)]
+    right = [[0 if j < r else draw(small) for j in range(n_mid)] for _ in range(n_out)]
     d_in = matrix(product(product(p, middle), q) if n_in else [[]] * n_mid, n_mid, n_in)
     d_out = matrix(product(right, p_inv) if n_mid else [[]] * n_out, n_out, n_mid)
     return d_in, d_out, ring
@@ -230,3 +231,11 @@ def composable_pairs(draw):
 def test_random_pairs_match_reference(pair):
     d_in, d_out, ring = pair
     check_pair(d_in, d_out, ring)
+
+
+@pytest.mark.parametrize("m", (2, 3, 4, 6))
+def test_pairs_composing_to_zero_only_mod_m_are_refused(m):
+    d_in, d_out = matrix([[1], [1]], 2, 1), matrix([[m, 0]], 1, 2)
+    assert d_out.mul(d_in).data == ((m,),)
+    with pytest.raises(CompositionNotZero):
+        homology_at_mod(d_in, d_out, m)
