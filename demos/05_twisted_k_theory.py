@@ -3,7 +3,7 @@
 In total dimension up to three the filtration leaves a single possibly
 ambiguous extension in K^1.  The engine reports the candidates explicitly
 and picks the one matching the dual's degree-shifted K-group; ranks are
-cross-checked against the rational twisted model.
+cross-checked against the twisted complex D = delta + H on the total model.
 """
 
 from tdual import (

@@ -9,8 +9,8 @@ The package computes, over the integers and rationals only:
 - circle bundles as classification data with a mapping-cone model of the
   total space (:mod:`tdual.bundles`);
 - the constructive T-dual with exact certificates, the correspondence
-  complex, and a rational Z/2-graded twisted model with its transform
-  (:mod:`tdual.tduality`);
+  complex, and the integral twisted complex D = delta + H with the
+  component swap onto the dual's (:mod:`tdual.tduality`);
 - twisted K-groups in dimension up to three with explicit extension
   bookkeeping resolved through the dual (:mod:`tdual.ktheory`);
 - ready-made surfaces, bundles, fluxes, reference tables and end-to-end

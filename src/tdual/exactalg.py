@@ -84,6 +84,8 @@ class IntMatrix:
         """The product; the work follows the nonzeros of both factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
+        if not (self.rows and self.cols and other.cols):
+            return IntMatrix.zeros(self.rows, other.cols)
         n = other.cols
         other_nz = [list(zip(compress(range(n), row), filter(None, row))) for row in other.data]
         inner = range(self.cols)
@@ -648,10 +650,7 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     *Computational Homology*, ch. 3), built by ``_generators`` only when
     ``representatives``, ``class_of`` or ``coordinates`` is first read.
     """
-    if d_in.rows != d_out.cols:
-        raise ValueError("middle dimensions disagree")
-    if not d_out.mul(d_in).is_zero():
-        raise CompositionNotZero("d_out . d_in != 0")
+    _check_composes(d_in, d_out)
     return GroupData.deferred(_group(d_in.rows, _smith_cached(d_in), _smith_cached(d_out)),
                               lambda: _generators(d_in, d_out))
 
@@ -665,12 +664,20 @@ def homology_at_transpose(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     the cohomology at the same degree reads.  The transposes are built and
     factored only when generators are first asked for.
     """
+    _check_composes(d_in, d_out)
+    return GroupData.deferred(_group(d_out.cols, _smith_cached(d_out), _smith_cached(d_in)),
+                              lambda: homology_at(d_out.transpose(), d_in.transpose()))
+
+
+@lru_cache(maxsize=4096)
+def _check_composes(d_in: IntMatrix, d_out: IntMatrix) -> None:
+    """Raise unless d_in and d_out chain through one middle and compose to
+    zero.  Cached, so H^k and H_k of one complex multiply once; a failing
+    pair raises on every call, since exceptions are not cached."""
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
     if not d_out.mul(d_in).is_zero():
         raise CompositionNotZero("d_out . d_in != 0")
-    return GroupData.deferred(_group(d_out.cols, _smith_cached(d_out), _smith_cached(d_in)),
-                              lambda: homology_at(d_out.transpose(), d_in.transpose()))
 
 
 def _group(n_mid: int, s_in: _Smith, s_out: _Smith) -> FGAbelianGroup:

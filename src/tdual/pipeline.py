@@ -219,7 +219,6 @@ def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0) -> PipelineR
         "plain twist": "pass" if rational_consistency(kg_plain, dims_plain).ok else "FAIL",
         "orientation twist": "pass" if rational_consistency(kg_xi, dims_xi).ok else "FAIL",
     }
-    notes.append("twisted dimensions use the formal rational model")
 
     groups_ok = True
     if info.complex.dimension == 2:

@@ -21,13 +21,23 @@ flux pairs live on, of dimension <= 2; there the C^{k-2}(M) summand is
 still used, by delta^2 and delta^3.  Every step returns exact integer
 certificates; nothing is checked only up to cohomology unless the
 statement itself is cohomological.
+
+Twisted cohomology is that of the Z/2-graded complex D = delta + H on the
+total model C^*(E, zeta), H(alpha, beta) = (0, (-1)^k fhat ^ alpha) on C^k
+(Bouwknegt-Evslin-Mathai, D = d + H on invariant forms alpha + theta beta).
+H H = 0, as H reads alpha and writes beta.  On (alpha, 0) in C^k the
+cross terms delta H + H delta leave (-e ^ fhat ^ alpha, 0), and on
+(0, beta) they leave (0, +-fhat ^ e ^ beta): cochains of degree >= 4 on
+M, zero over a surface, so D^2 = 0 over Z.  The component swap
+(alpha, beta) |-> (beta, -alpha) onto the dual's complex with the other
+zeta satisfies T D = Dhat T exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .bundles import (
@@ -352,107 +362,69 @@ def duals_equivalent(q1: FluxPair, q2: FluxPair) -> tuple[bool, Optional[Twisted
 
 
 # ---------------------------------------------------------------------------
-# Small twisted model over Q
+# Twisted complex
 # ---------------------------------------------------------------------------
 
 class SmallTwistedComplex:
-    """Z/2-graded rational model: rational cohomology of the base in the
-    untwisted and xi-twisted flavors, with the differential built from the
-    Euler class and the push-forward flux (a flux pair has no base 3-flux).
+    """The Z/2-graded integral complex (C^*(E, zeta), D = delta + H) of a
+    flux pair, zeta = xi when ``twist_by_xi``: H(alpha, beta) =
+    (0, (-1)^k fhat ^ alpha) on C^k of the total model.
 
-    This is a formal model: the differential acts through cup products of
-    cohomology classes; higher corrections are not included.
+    ``basis`` lists (part, base degree, simplex index) in the order of the
+    total model's vectors, degree by degree: part "a" is alpha in
+    C^k(M, zeta), of total degree k, and part "b" is beta in
+    C^k(M, zeta xi), of total degree k + 1.
     """
 
     def __init__(self, pair: FluxPair, twist_by_xi: bool = False):
         bundle = pair.bundle
-        base = bundle.base
-        xi = bundle.xi
+        zeta = bundle.xi if twist_by_xi else None
         self.pair = pair
         self.twist_by_xi = twist_by_xi
-
-        h_triv = cohomology(base, None)
-        h_xi = cohomology(base, xi)
-        a_src, b_src = (h_xi, h_triv) if twist_by_xi else (h_triv, h_xi)
-        a_sys, b_sys = (xi, None) if twist_by_xi else (None, xi)
-
-        self.basis: list[tuple[str, int, tuple[int, ...]]] = []
-        for k in range(base.dimension + 1):
-            g = a_src[k]
-            for rep in g.representatives[:g.group.free_rank]:
-                self.basis.append(("a", k, rep))
-        for k in range(base.dimension + 1):
-            g = b_src[k]
-            for rep in g.representatives[:g.group.free_rank]:
-                self.basis.append(("b", k, rep))
-        self._a_src, self._b_src = a_src, b_src
-        self._a_sys, self._b_sys = a_sys, b_sys
-        self._base = base
-        self._e = bundle.euler_cochain()
-        self._fhat = pair.fhat_cochain()
-        self.d_matrix = self._build_matrix()
+        self.model = TotalComplex(bundle, zeta)
+        self.basis = [(part, deg, i) for k in range(self.model.dimension + 1)
+                      for part, deg in (("a", k), ("b", k - 1))
+                      for i in range(bundle.base.count(deg))]
+        # H^0: C^0(E) -> C^3(E) = C^2(M, zeta xi), as the base has no
+        # 3-simplices; on C^k, k >= 1, fhat ^ alpha has degree > 2 and is zero
+        self._h0 = cup_matrix_left(pair.fhat_cochain(), 0, zeta)
 
     def parity(self, idx: int) -> int:
         part, k, _ = self.basis[idx]
         return k % 2 if part == "a" else (k + 1) % 2
 
-    def _free_coords(self, src_list, target_degree: int, part: str,
-                     vals: tuple[int, ...]) -> dict[int, int]:
-        base = self._base
-        out: dict[int, int] = {}
-        if target_degree > base.dimension:
-            return out
-        g = src_list[target_degree]
-        if g.group.free_rank == 0:
-            return out
-        coords = g.coordinates(vals)[:g.group.free_rank]
-        pos = 0
-        for i, (p, k, _) in enumerate(self.basis):
-            if p == part and k == target_degree:
-                out[i] = coords[pos]
-                pos += 1
-        return out
+    def d_even(self) -> IntMatrix:
+        """D from degrees 0 and 2 to degrees 1 and 3: [[delta^0, 0], [H^0, delta^2]]."""
+        d0, d2 = self.model.delta_matrix(0), self.model.delta_matrix(2)
+        return block_matrix([[d0, IntMatrix.zeros(d0.rows, d2.cols)], [self._h0, d2]])
 
-    def _build_matrix(self) -> IntMatrix:
-        base = self._base
-        n = len(self.basis)
-        cols = []
-        for part, k, rep in self.basis:
-            col = [0] * n
-            if part == "a":
-                a = TwistedCochain(base, k, rep, self._a_sys)
-                img_b = cup(self._fhat, a)
-                for i, v in self._free_coords(self._b_src, k + 2, "b", img_b.values).items():
-                    col[i] += v
-            else:
-                b = TwistedCochain(base, k, rep, self._b_sys)
-                img_a = cup(self._e, b)
-                for i, v in self._free_coords(self._a_src, k + 2, "a", img_a.values).items():
-                    col[i] += v
-            cols.append(col)
-        return IntMatrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)],
-                                   cols=n)
-
-    def _restricted(self, parity_from: int) -> IntMatrix:
-        src = [i for i in range(len(self.basis)) if self.parity(i) == parity_from]
-        dst = [i for i in range(len(self.basis)) if self.parity(i) != parity_from]
-        return IntMatrix.from_rows([[self.d_matrix.data[i][j] for j in src] for i in dst],
-                                   cols=len(src))
+    @cached_property
+    def d_matrix(self) -> IntMatrix:
+        """D on ``basis``: delta^k from degree k to k + 1, and H^0 from
+        degree 0 to degree 3."""
+        sizes = [self.model.count(k) for k in range(self.model.dimension + 1)]
+        grid = [[IntMatrix.zeros(r, c) for c in sizes] for r in sizes]
+        for k in range(len(sizes) - 1):
+            grid[k + 1][k] = self.model.delta_matrix(k)
+        if len(sizes) > 3:
+            grid[3][0] = self._h0
+        return block_matrix(grid)
 
     def dims(self) -> tuple[int, int]:
-        """(even, odd) dimensions of the Z/2-graded cohomology over Q."""
-        d_even = self._restricted(0)
-        d_odd = self._restricted(1)
-        even = d_even.cols - rank_of(d_even) - rank_of(d_odd)
-        odd = d_odd.cols - rank_of(d_odd) - rank_of(d_even)
-        return even, odd
+        """(even, odd) ranks of D's cohomology, the dimensions over Q."""
+        d_even = self.d_even()
+        # D from odd degrees is delta^1 alone: H^1 writes fhat ^ alpha in
+        # C^3(M) = 0 and delta^3 maps to C^4(E) = 0.  So its rank is that of
+        # delta^1, whose Smith form the total model's groups have cached.
+        ranks = rank_of(d_even) + rank_of(self.model.delta_matrix(1))
+        return d_even.cols - ranks, d_even.rows - ranks
 
     def check_d_squared(self) -> bool:
         return self.d_matrix.mul(self.d_matrix).is_zero()
 
 
 def small_twisted_cohomology(pair: FluxPair, twist_by_xi: bool = False) -> tuple[int, int]:
-    """Z/2-graded dimensions (even, odd) of the formal twisted model."""
+    """Z/2-graded dimensions (even, odd) of the twisted cohomology over Q."""
     return SmallTwistedComplex(pair, twist_by_xi).dims()
 
 
@@ -466,9 +438,7 @@ class HoriSmall:
     matrix: IntMatrix
 
     def is_chain_map(self) -> bool:
-        lhs = self.matrix.mul(self.source.d_matrix)
-        rhs = self.target.d_matrix.mul(self.matrix).scale(-1)
-        return lhs == rhs
+        return self.matrix.mul(self.source.d_matrix) == self.target.d_matrix.mul(self.matrix)
 
     def shifts_parity(self) -> bool:
         n = len(self.source.basis)
@@ -482,8 +452,8 @@ class HoriSmall:
 
 def _component_swap(source: SmallTwistedComplex, target: SmallTwistedComplex) -> HoriSmall:
     """(alpha, beta) |-> (beta, -alpha) between models with complementary
-    twists over the same base.  The summand generators coincide, so the
-    matrix is a signed permutation."""
+    twists over the same base.  Each simplex of one summand is a simplex
+    of the other, so the matrix is a signed permutation."""
     if source.twist_by_xi == target.twist_by_xi:
         raise ValueError("component swap needs complementary twists")
     n_s = len(source.basis)

@@ -14,6 +14,7 @@ from tdual.complexes import (
     bockstein,
     coboundary,
     coboundary_matrix,
+    cochain_complex,
     cohomology,
     cup,
     cup_matrix_left,
@@ -24,6 +25,7 @@ from tdual.complexes import (
     trivial_system,
 )
 from tdual.exactalg import FGAbelianGroup as FG
+from tdual.exactalg import IntMatrix
 
 SPACES = lambda: [circle(), torus(), klein_bottle(), sigma(1), sigma(2),
                   crosscap_sum(1), crosscap_sum(2), crosscap_sum(3)]
@@ -393,3 +395,16 @@ def test_groups_are_read_without_generator_factorizations(monkeypatch):
     for a in built[misses:]:
         assert a.rows == a.cols <= n_mid
         assert all(v == 0 for i, row in enumerate(a.data) for j, v in enumerate(row) if i != j)
+
+
+def test_homology_after_cohomology_multiplies_nothing(monkeypatch):
+    """H_* after H^* of one complex reuses its cached composition checks."""
+    complexes._groups.cache_clear()
+    exactalg._check_composes.cache_clear()
+    cx = cochain_complex(space("sigma", g=2).complex)
+    assert [g.group for g in cx.cohomology()] == [FG(1), FG(4), FG(1)]
+    products = []
+    mul = IntMatrix.mul
+    monkeypatch.setattr(IntMatrix, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+    assert [g.group for g in cx.homology()] == [FG(1), FG(4), FG(1)]
+    assert products == []

@@ -7,7 +7,8 @@ from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, klein_
 from tdual.cli import main
 from tdual.complexes import LocalSystem, TwistedCochain, cohomology
 from tdual.exactalg import FGAbelianGroup as FG
-from tdual.exactalg import IntMatrix
+from tdual.exactalg import IntMatrix, homology_at
+from tdual.ktheory import TwistClass, ahss_k_groups, resolve_by_tduality
 from tdual.tduality import (
     BundleMismatch,
     CorrespondenceComplex,
@@ -235,6 +236,50 @@ def test_small_dims_crosscap_rank_drop():
                 assert small_twisted_cohomology(p) == (expect, expect)
                 expect_x = n if j == 0 else n - 1
                 assert small_twisted_cohomology(p, True) == (expect_x, expect_x)
+
+
+def acceptance_pairs():
+    yield pair_for(circle(), 0, 0)  # the Klein bottle
+    for g in (1, 2, 3):
+        for j in (0, 1):
+            for k in (0, 1):
+                yield pair_for(sigma(g), j, k)
+    for n in (1, 2, 3):
+        for j in range(4):
+            for k in range(4):
+                yield pair_for(crosscap_sum(n), j, k)
+
+
+def twisted_groups(pair, twist_by_xi):
+    """(even, odd) integer groups of D, read off its parity blocks."""
+    model = SmallTwistedComplex(pair, twist_by_xi)
+    even = [i for i in range(len(model.basis)) if model.parity(i) == 0]
+    odd = [i for i in range(len(model.basis)) if model.parity(i) == 1]
+    d = model.d_matrix.data
+
+    def block(rows, cols):
+        return IntMatrix.from_rows([[d[i][j] for j in cols] for i in rows], cols=len(cols))
+
+    d_even, d_odd = block(odd, even), block(even, odd)
+    assert model.d_even() == d_even  # the block dims() factors
+    return homology_at(d_odd, d_even).group, homology_at(d_even, d_odd).group
+
+
+def test_twisted_complex_over_acceptance_pairs():
+    for pair in acceptance_pairs():
+        dual = pair.dual()
+        for twist in (False, True):
+            assert SmallTwistedComplex(pair, twist).check_d_squared()
+            groups = twisted_groups(pair, twist)
+            # the component swap exchanges parities onto the dual's other twist
+            assert groups == twisted_groups(dual, not twist)[::-1]
+            # a checked agreement with the K-groups, not a theorem
+            kg = ahss_k_groups(TwistClass.from_flux(pair, twist))
+            if not kg.resolved:
+                kg = resolve_by_tduality(kg, ahss_k_groups(TwistClass.from_flux(dual, not twist)))
+            assert groups == (kg.K0, kg.K1), (pair.bundle.base, twist)
+            assert small_twisted_cohomology(pair, twist) == \
+                (groups[0].free_rank, groups[1].free_rank)
 
 
 # ---------------------------------------------------------------------------
