@@ -348,9 +348,9 @@ def gysin_exactness_report(bundle: BundleDescriptor, zeta: System = None) -> lis
 def _exact_at(src: Optional[GroupData], mid: GroupData, dst: Optional[GroupData],
               f_apply, g_apply) -> bool:
     """im(f: src -> mid) equals ker(g: mid -> dst) inside mid."""
-    mid_rel = mid.group.presentation()
-    n_mid = mid_rel.ambient_rank
-    rel = [list(row) for row in mid_rel.relations.data]
+    free, torsion = mid.group.free_rank, mid.group.torsion
+    n_mid = free + len(torsion)
+    rel = [[d if j == free + i else 0 for j in range(n_mid)] for i, d in enumerate(torsion)]
     image = [] if src is None else \
         [list(mid.coordinates(f_apply(rep))) for rep in src.representatives]
 

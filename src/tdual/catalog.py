@@ -11,6 +11,7 @@ of half-edges, which is what the canonical Z/2 classes are built from.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -273,22 +274,10 @@ class SpaceInfo:
 
 @lru_cache(maxsize=256)
 def _solve_sign_system(x: DeltaComplex, label_edges: tuple, odd: frozenset) -> LocalSystem:
-    ne = x.count(1)
-    rows = []
-    rhs = []
-    for t in range(x.count(2)):
-        row = [0] * ne
-        for f in x.faces(2, t):
-            row[f] += 1
-        rows.append(row)
-        rhs.append(0)
-    for name, edges in label_edges:
-        row = [0] * ne
-        for e in edges:
-            row[e] += 1
-        rows.append(row)
-        rhs.append(1 if name in odd else 0)
-    m = IntMatrix.from_rows(rows, cols=ne)
+    rows = [Counter(x.faces(2, t)) for t in range(x.count(2))]
+    rows += [Counter(edges) for _, edges in label_edges]
+    rhs = [0] * x.count(2) + [1 if name in odd else 0 for name, _ in label_edges]
+    m = IntMatrix.from_nonzeros(rows, x.count(1))
     try:
         sol = solve_mod(m, rhs, 2)
     except NoSolution as exc:

@@ -19,6 +19,7 @@ Leibniz) in the test suite.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -35,6 +36,11 @@ from .exactalg import (
     solve_integer,
     solve_mod,
 )
+
+
+# The most vertices, or simplices of one dimension, of a loaded complex, so
+# that a few bytes of JSON cannot ask for any size; sigma(64) has 1,536 edges.
+MAX_CELLS = 100_000
 
 
 class InvalidLocalSystem(Exception):
@@ -161,10 +167,13 @@ class DeltaComplex:
         dims = sorted(int(k) for k in obj.get("simplices", {}))
         if dims and dims != list(range(1, dims[-1] + 1)):
             raise ValueError("simplex dimensions must be contiguous from 1")
+        n = json_int(obj["vertices"], "vertices")
+        if max([n] + [len(obj["simplices"][str(d)]) for d in dims]) > MAX_CELLS:
+            raise ValueError(f"a complex may have at most {MAX_CELLS} cells of each dimension")
         levels = tuple(tuple(tuple(json_int(v, "simplices") for v in t)
                              for t in obj["simplices"][str(d)])
                        for d in dims)
-        return DeltaComplex(json_int(obj["vertices"], "vertices"), levels)
+        return DeltaComplex(n, levels)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -262,15 +271,9 @@ def z2_rescaling(base: DeltaComplex, a: System, b: System) -> Optional[tuple[int
     turns a into b; None when a and b define different classes in
     H^1(X, Z/2)."""
     diff = [(0 if _sign(a, e) == _sign(b, e) else 1) for e in range(base.count(1))]
-    rows = []
-    for e in range(base.count(1)):
-        t, h = base.simplex(1, e)
-        row = [0] * base.vertex_count
-        row[t] += 1
-        row[h] += 1
-        rows.append(row)
+    rows = [Counter(base.simplex(1, e)) for e in range(base.count(1))]
     try:
-        return solve_mod(IntMatrix.from_rows(rows, cols=base.vertex_count), diff, 2)
+        return solve_mod(IntMatrix.from_nonzeros(rows, base.vertex_count), diff, 2)
     except NoSolution:
         return None
 
@@ -281,17 +284,14 @@ def z2_rescaling(base: DeltaComplex, a: System, b: System) -> Optional[tuple[int
 
 @lru_cache(maxsize=4096)
 def _coboundary_cached(x: DeltaComplex, k: int, signs: tuple[int, ...]) -> IntMatrix:
-    n_from = x.count(k)
-    n_to = x.count(k + 1)
-    rows = [[0] * n_from for _ in range(n_to)]
-    for r in range(n_to):
+    rows = []
+    for r in range(x.count(k + 1)):
         fs = x.faces(k + 1, r)
-        lead = x.subface(k + 1, r, 0, 1)
-        s0 = signs[lead] if signs else 1
-        rows[r][fs[0]] += s0
+        row = Counter({fs[0]: signs[x.subface(k + 1, r, 0, 1)] if signs else 1})
         for i in range(1, k + 2):
-            rows[r][fs[i]] += -1 if i % 2 else 1
-    return IntMatrix.from_rows(rows, cols=n_from)
+            row[fs[i]] += -1 if i % 2 else 1
+        rows.append(row)
+    return IntMatrix.from_nonzeros(rows, x.count(k))
 
 
 def coboundary_matrix(x: DeltaComplex, k: int, system: System = None) -> IntMatrix:
@@ -399,10 +399,10 @@ def cup_matrix_left(a: TwistedCochain, q: int, right_system: System) -> IntMatri
     n_to = x.count(a.degree + q)
     if q < 0:
         return IntMatrix.zeros(n_to, 0)
-    rows = [[0] * x.count(q) for _ in range(n_to)]
+    rows = [Counter() for _ in range(n_to)]
     for s, back, c in _cup_terms(a, q, right_system):
         rows[s][back] += c
-    return IntMatrix.from_rows(rows, cols=x.count(q))
+    return IntMatrix.from_nonzeros(rows, x.count(q))
 
 
 def half_coboundary(d: IntMatrix, lift: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -6,6 +6,10 @@ presentation of finitely generated abelian groups in invariant-factor
 normal form.  These are the primitives behind every (co)homology and
 K-group computed elsewhere in the package.
 
+Matrices are stored as their nonzeros, which every operation and the
+Smith factorization follow: the coboundary and cup matrices of the models
+are well below 1 % dense.  ``IntMatrix.data`` is a dense view for tests.
+
 All values are immutable; functions are pure and safe to share between
 threads.
 """
@@ -15,10 +19,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
-from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 
 class NoSolution(Exception):
@@ -33,89 +36,114 @@ class CompositionNotZero(Exception):
 # Matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class IntMatrix:
-    """Dense integer matrix.  ``data`` is a tuple of row tuples."""
+    """Integer matrix stored as its nonzeros: ``nonzeros[i]`` is row i as
+    (column, value) pairs, value != 0, in increasing column order.
+    ``IntMatrix(rows, cols, data)`` and ``from_rows`` take dense rows and
+    ``from_nonzeros`` a {column: value} dict per row; equal matrices
+    compare and hash equal however built.  ``data``, the dense rows, is
+    built on first read and kept: a view for tests and dense oracles."""
 
-    rows: int
-    cols: int
-    data: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "nonzeros", "_hash", "_data")
 
-    def __post_init__(self) -> None:
-        if len(self.data) != self.rows:
+    def __init__(self, rows: int, cols: int, data: Sequence[Sequence[int]]):
+        if len(data) != rows:
             raise ValueError("row count mismatch")
-        for r in self.data:
-            if len(r) != self.cols:
-                raise ValueError("column count mismatch")
+        if any(len(r) != cols for r in data):
+            raise ValueError("column count mismatch")
+        self.rows, self.cols, self._hash, self._data = rows, cols, None, None
+        self.nonzeros = tuple([tuple(zip(compress(range(cols), r), filter(None, r))) for r in data])
+
+    @staticmethod
+    def _of(rows: int, cols: int, nonzeros: tuple) -> "IntMatrix":
+        """The matrix of rows of (column, value) pairs already in form."""
+        m = object.__new__(IntMatrix)
+        m.rows, m.cols, m.nonzeros, m._hash, m._data = rows, cols, nonzeros, None, None
+        return m
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.nonzeros) == (other.rows, other.cols, other.nonzeros)
 
     def __hash__(self) -> int:
-        # Computed once and kept: matrices key the Smith cache, and hashing
-        # reads every entry.  Equality still compares the fields.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.rows, self.cols, self.data))
-        return h
+        # Computed once: matrices key the Smith cache, and hashing reads every entry.
+        if self._hash is None:
+            self._hash = hash((self.rows, self.cols, self.nonzeros))
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"IntMatrix({self.rows}, {self.cols}, {self.data!r})"
+
+    @property
+    def data(self) -> tuple[tuple[int, ...], ...]:
+        if self._data is None:
+            dense = [[0] * self.cols for _ in self.nonzeros]
+            for row, r in zip(dense, self.nonzeros):
+                for j, x in r:
+                    row[j] = x
+            self._data = tuple(map(tuple, dense))
+        return self._data
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        rows = [tuple(map(int, r)) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs explicit column count")
-            ncols = cols
-        return IntMatrix(len(rows), ncols, tuple(rows))
+        if not rows and cols is None:
+            raise ValueError("empty matrix needs explicit column count")
+        return IntMatrix(len(rows), len(rows[0]) if rows else cols, rows)
+
+    @staticmethod
+    def from_nonzeros(rows: Sequence[Mapping[int, int]], cols: int) -> "IntMatrix":
+        """The matrix whose row i holds the entries {column: value} of
+        ``rows[i]``; zero values are dropped."""
+        nonzeros = tuple([tuple(sorted([(j, x) for j, x in r.items() if x])) for r in rows])
+        if any(r and (r[0][0] < 0 or r[-1][0] >= cols) for r in nonzeros):
+            raise ValueError("column index out of range")
+        return IntMatrix._of(len(nonzeros), cols, nonzeros)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        return IntMatrix._of(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
+        return IntMatrix._of(n, n, tuple(((i, 1),) for i in range(n)))
 
     def transpose(self) -> "IntMatrix":
-        if not self.rows:
-            return IntMatrix.zeros(self.cols, 0)
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.data)))
+        out = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row:
+                out[j].append((i, x))
+        return IntMatrix._of(self.cols, self.rows, tuple(map(tuple, out)))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """The product; the work follows the nonzeros of both factors."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        if not (self.rows and self.cols and other.cols):
-            return IntMatrix.zeros(self.rows, other.cols)
-        n = other.cols
-        other_nz = [list(zip(compress(range(n), row), filter(None, row))) for row in other.data]
-        inner = range(self.cols)
-        out = []
-        for row in self.data:
-            acc = [0] * n
-            for j in compress(inner, row):
-                a = row[j]
-                for k, y in other_nz[j]:
-                    acc[k] += a * y
-            out.append(tuple(acc))
-        return IntMatrix(self.rows, n, tuple(out))
+        b = other.nonzeros
+        out = [{} for _ in self.nonzeros]
+        for row, acc in zip(self.nonzeros, out):
+            for j, a in row:
+                for k, y in b[j]:
+                    acc[k] = acc.get(k, 0) + a * y
+        return IntMatrix.from_nonzeros(out, other.cols)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        nz = [(j, x) for j, x in enumerate(v) if x]  # the work follows the nonzeros of v
-        return tuple(sum([row[j] * x for j, x in nz]) for row in self.data)
+        return tuple([sum([x * v[j] for j, x in row]) for row in self.nonzeros])
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(map(itemgetter(j), self.data))
+        return tuple(dict(row).get(j, 0) for row in self.nonzeros)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self.nonzeros)
 
     def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
+        return tuple(dict(self.nonzeros[i]).get(i, 0) for i in range(min(self.rows, self.cols)))
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(tuple(c * x for x in row) for row in self.data))
+        return IntMatrix._of(self.rows, self.cols, tuple(tuple((j, c * x) for j, x in row if c)
+                                                         for row in self.nonzeros))
 
 
 def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -124,8 +152,7 @@ def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch in hstack")
-    data = tuple(sum(parts, ()) for parts in zip(*(b.data for b in blocks)))
-    return IntMatrix(rows, sum(b.cols for b in blocks), data)
+    return vstack([b.transpose() for b in blocks]).transpose()
 
 
 def vstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -134,8 +161,8 @@ def vstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
     cols = blocks[0].cols
     if any(b.cols != cols for b in blocks):
         raise ValueError("column mismatch in vstack")
-    data = tuple(row for b in blocks for row in b.data)
-    return IntMatrix(sum(b.rows for b in blocks), cols, data)
+    return IntMatrix._of(sum(b.rows for b in blocks), cols,
+                         tuple(chain.from_iterable(b.nonzeros for b in blocks)))
 
 
 def block_matrix(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
@@ -211,7 +238,7 @@ class _Smith:
     def __init__(self, a: IntMatrix):
         self._a = a
         self.shape = m, n = a.rows, a.cols
-        A = [dict(zip(compress(range(n), row), filter(None, row))) for row in a.data]
+        A = [dict(row) for row in a.nonzeros]
         rows_of = [set() for _ in range(n)]
         for i, row in enumerate(A):
             for j in row:
@@ -292,17 +319,16 @@ class _Smith:
 
     def d_matrix(self) -> IntMatrix:
         m, n = self.shape
-        diag = self.diag
-        return IntMatrix(m, n, tuple(tuple(diag[i] if i == j else 0 for j in range(n))
-                                     for i in range(m)))
+        return IntMatrix.from_nonzeros([{i: d} for i, d in enumerate(self.diag)]
+                                       + [{}] * (m - len(self.diag)), n)
 
     def u_matrix(self) -> IntMatrix:
         """Linv, with A = Linv * D * Rinv: column i < rank is A R e_i / d_i,
         the others Linv e_i through the row log."""
-        (m, n), r, diag = self.shape, self.rank, self.diag
-        image = self._a.mul(_columns(self.right(_units(range(r), n)), n))
-        image = IntMatrix(m, r, tuple(tuple(x // d for x, d in zip(row, diag)) for row in image.data))
-        return hstack([image, _columns(_apply(self._row_log, m, _units(range(r, m), m), False, True), m)])
+        (m, n), r = self.shape, self.rank
+        image = [[x // d for x in self._a.mul_vec(v)]
+                 for v, d in zip(self.right(_units(range(r), n)), self.diag)]
+        return _columns(image + _apply(self._row_log, m, _units(range(r, m), m), False, True), m)
 
     def v_matrix(self) -> IntMatrix:
         """Rinv, with A = Linv * D * Rinv."""
@@ -439,9 +465,13 @@ def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
-def _columns(vectors: Sequence[tuple[int, ...]], n: int) -> IntMatrix:
+def _columns(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
     """The n-row matrix whose columns are ``vectors``."""
-    return IntMatrix(len(vectors), n, tuple(vectors)).transpose()
+    rows = [[] for _ in range(n)]
+    for k, v in enumerate(vectors):
+        for i in compress(range(n), v):
+            rows[i].append((k, v[i]))
+    return IntMatrix._of(n, len(vectors), tuple(map(tuple, rows)))
 
 
 def _units(indices, n: int) -> list[list[int]]:
@@ -526,22 +556,16 @@ class FGAbelianGroup:
         return n
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
-        rels = list(self.torsion) + list(other.torsion)
-        n = len(rels)
-        mat = IntMatrix.from_rows([[rels[i] if i == j else 0 for j in range(n)] for i in range(n)],
-                                  cols=n)
-        merged = normal_form(PresentedGroup(n, mat))
+        rels = (*self.torsion, *other.torsion)
+        mat = IntMatrix.from_nonzeros([{i: d} for i, d in enumerate(rels)], len(rels))
+        merged = normal_form(PresentedGroup(len(rels), mat))
         return FGAbelianGroup(self.free_rank + other.free_rank + merged.free_rank, merged.torsion)
 
     def presentation(self) -> "PresentedGroup":
         """Canonical presentation: one relation d_i * e_{r+i} per factor."""
         n = self.free_rank + len(self.torsion)
-        rows = []
-        for i, d in enumerate(self.torsion):
-            row = [0] * n
-            row[self.free_rank + i] = d
-            rows.append(row)
-        return PresentedGroup(n, IntMatrix.from_rows(rows, cols=n))
+        return PresentedGroup(n, IntMatrix.from_nonzeros(
+            [{self.free_rank + i: d} for i, d in enumerate(self.torsion)], n))
 
     def __str__(self) -> str:
         parts = []
@@ -708,7 +732,7 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
              for (_, d), col in zip(tors, s_in.right(_units([i for i, _ in tors], d_in.cols)))]
     kernel = _smith_cached(d_out).kernel_columns()
     l_kernel = s_in.left(kernel)
-    s_free = _Smith(IntMatrix.from_rows([lk[r:] for lk in l_kernel], cols=n_mid - r).transpose())
+    s_free = _Smith(_columns([lk[r:] for lk in l_kernel], n_mid - r))
     f = s_free.rank
     reps = []
     for col in s_free.right(_units(range(f), len(kernel))):
@@ -747,8 +771,7 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
     factors = s_out.diag[:s_out.rank]
     tor = [(i, g) for i, d in enumerate(factors) if (g := gcd(d, m)) > 1]
     orders = [m] * h.free_rank + [gcd(d, m) for d in h.torsion] + [g for _, g in tor]
-    s = _smith_cached(IntMatrix.from_rows([[o if i == j else 0 for j in range(len(orders))]
-                                           for i, o in enumerate(orders)], cols=len(orders)))
+    s = _smith_cached(IntMatrix.from_nonzeros([{i: o} for i, o in enumerate(orders)], len(orders)))
     units = s.diag.count(1)
     group = FGAbelianGroup(0, s.diag[units:])
 
@@ -766,8 +789,8 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
         tor_gens = s_out.right(_units([i for i, _ in tor], n_mid))
         gens = list(integral.representatives) + [[m // g * v for v in col]
                                                  for (_, g), col in zip(tor, tor_gens)]
-        return GroupData(group, [tuple(_combine(enumerate(col), gens, n_mid))
-                                 for col in s.u_matrix().transpose().data[units:]], class_of)
+        return GroupData(group, [tuple(_combine(col, gens, n_mid))
+                                 for col in s.u_matrix().transpose().nonzeros[units:]], class_of)
 
     return GroupData.deferred(group, build)
 
@@ -805,10 +828,10 @@ def _solve_gf2(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...]:
         raise ValueError("rhs length mismatch")
     rhs = 1 << n
     kept: dict[int, int] = {}  # lowest set bit -> row
-    for row, c in zip(a.data, b):
+    for row, c in zip(a.nonzeros, b):
         bits = rhs if c & 1 else 0
-        for j in compress(range(n), row):
-            if row[j] & 1:
+        for j, x in row:
+            if x & 1:
                 bits |= 1 << j
         while bits:
             low = bits & -bits

@@ -35,6 +35,7 @@ from .exactalg import (
     rank_of,
     solve_integer,
     solve_mod,
+    vstack,
 )
 from .tduality import FluxPair
 
@@ -236,19 +237,12 @@ def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup) -> tuple[FGA
     out = []
     choice_spaces = [list(product(*[range(r) for r in per_gen])) for per_gen in ranges]
     for combo in product(*choice_spaces) if ranges else [()]:
-        rows = []
-        for i, e in enumerate(ts):
-            row = [0] * n
-            row[rs + i] = e
-            rows.append(row)
+        rows = [{rs + i: e} for i, e in enumerate(ts)]
         for qi, coeffs in enumerate(combo):
-            d = quot.torsion[qi]
-            row = [0] * n
-            row[n_sub + quot.free_rank + qi] = d
-            for si, c in enumerate(coeffs):
-                row[si] = -c
+            row = {si: -c for si, c in enumerate(coeffs)}
+            row[n_sub + quot.free_rank + qi] = quot.torsion[qi]
             rows.append(row)
-        g = normal_form(PresentedGroup(n, IntMatrix.from_rows(rows, cols=n)))
+        g = normal_form(PresentedGroup(n, IntMatrix.from_nonzeros(rows, n)))
         key = (g.free_rank, g.torsion)
         if key not in seen:
             seen.add(key)
@@ -298,8 +292,8 @@ def ahss_k_groups(t: TwistClass) -> KGroups:
         free = IntMatrix.from_rows([c[:r3] for c in classes], cols=r3)
         kernel = FGAbelianGroup(groups[0].free_rank - rank_of(free))
         rel = groups[3].presentation()
-        coker = normal_form(PresentedGroup(rel.ambient_rank, IntMatrix.from_rows(
-            list(rel.relations.data) + classes, cols=rel.ambient_rank)))
+        coker = normal_form(PresentedGroup(rel.ambient_rank, vstack(
+            [rel.relations, IntMatrix.from_rows(classes, cols=rel.ambient_rank)])))
     return KGroups(kernel.direct_sum(groups[2]), _k1_extension(coker, groups[1]))
 
 

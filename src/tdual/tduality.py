@@ -441,13 +441,8 @@ class HoriSmall:
         return self.matrix.mul(self.source.d_matrix) == self.target.d_matrix.mul(self.matrix)
 
     def shifts_parity(self) -> bool:
-        n = len(self.source.basis)
-        for j in range(n):
-            pj = self.source.parity(j)
-            for i in range(len(self.target.basis)):
-                if self.matrix.data[i][j] and self.target.parity(i) == pj:
-                    return False
-        return True
+        return not any(self.target.parity(i) == self.source.parity(j)
+                       for i, row in enumerate(self.matrix.nonzeros) for j, _ in row)
 
 
 def _component_swap(source: SmallTwistedComplex, target: SmallTwistedComplex) -> HoriSmall:
@@ -456,16 +451,13 @@ def _component_swap(source: SmallTwistedComplex, target: SmallTwistedComplex) ->
     of the other, so the matrix is a signed permutation."""
     if source.twist_by_xi == target.twist_by_xi:
         raise ValueError("component swap needs complementary twists")
-    n_s = len(source.basis)
-    n_t = len(target.basis)
-    rows = [[0] * n_s for _ in range(n_t)]
+    index = {entry: i for i, entry in enumerate(target.basis)}
+    rows = [{} for _ in target.basis]
     for j, (part, k, rep) in enumerate(source.basis):
-        want = "b" if part == "a" else "a"
-        sign = -1 if part == "a" else 1
-        for i, (tp, tk, trep) in enumerate(target.basis):
-            if tp == want and tk == k and trep == rep:
-                rows[i][j] = sign
-    return HoriSmall(source, target, IntMatrix.from_rows(rows, cols=n_s))
+        i = index.get(("b" if part == "a" else "a", k, rep))
+        if i is not None:
+            rows[i][j] = -1 if part == "a" else 1
+    return HoriSmall(source, target, IntMatrix.from_nonzeros(rows, len(source.basis)))
 
 
 def hori_small(pair: FluxPair, dual: Optional[FluxPair] = None) -> HoriSmall:

@@ -5,6 +5,7 @@ import pytest
 from tdual import exactalg
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
+from tdual.complexes import MAX_CELLS
 from tdual.courant import standard_contexts
 from tdual.fixtures import klein_fixtures
 from tdual.pipeline import run_fixtures, run_pipeline
@@ -45,6 +46,19 @@ def test_cohomology_command_prints_groups_without_generators(tmp_path, capsys, m
     assert main(["cohomology", str(path)]) == 0
     assert capsys.readouterr().out == "H^*: Z^2000\n"
     assert kernels == []
+
+
+def test_oversized_inputs_exit_2_before_any_matrix_is_built(tmp_path, capsys):
+    """A file of a few bytes may not ask for a 10^9-row matrix: the loader
+    caps the vertices and the simplices of each dimension at MAX_CELLS."""
+    path = tmp_path / "huge.json"
+    path.write_text('{"vertices": 1000000000}')
+    assert_input_error(capsys, ["cohomology", str(path)], path, f"at most {MAX_CELLS}")
+    path.write_text(json.dumps({"base": {"vertices": 10 ** 9}, "xi": {"edge_signs": []},
+                                "euler": {"values": []}}))
+    assert_input_error(capsys, ["bundle-cohomology", str(path)], path, f"at most {MAX_CELLS}")
+    path.write_text(json.dumps({"vertices": 1, "simplices": {"1": [[0, 0]] * (MAX_CELLS + 1)}}))
+    assert_input_error(capsys, ["cohomology", str(path)], path, f"at most {MAX_CELLS}")
 
 
 def test_bundle_cohomology_command(tmp_path, capsys):

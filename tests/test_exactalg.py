@@ -10,7 +10,9 @@ from tdual.exactalg import (
     IntMatrix,
     NoSolution,
     PresentedGroup,
+    block_matrix,
     determinant,
+    hstack,
     homology_at,
     homology_at_mod,
     kernel_basis,
@@ -18,6 +20,7 @@ from tdual.exactalg import (
     smith_normal_form,
     solve_integer,
     solve_mod,
+    vstack,
 )
 
 
@@ -27,6 +30,76 @@ def mat(rows, cols=None):
 
 def random_matrix(rng, rows, cols, lo=-50, hi=50):
     return mat([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+# ---------------------------------------------------------------------------
+# Matrix storage against dense arithmetic
+# ---------------------------------------------------------------------------
+
+# Entries of an all-zero, a sparse (about one in three nonzero) and a full
+# matrix.
+DENSITIES = (st.just(0), st.sampled_from([0] * 8 + [-7, -1, 1, 2]),
+             st.integers(-30, -1) | st.integers(1, 30))
+
+
+def dense(data, rows, cols):
+    """Dense rows of a rows x cols matrix at a drawn density."""
+    entry = data.draw(st.sampled_from(DENSITIES))
+    return tuple(tuple(data.draw(entry) for _ in range(cols)) for _ in range(rows))
+
+
+def stored(rows, cols, m):
+    """``m`` holds exactly the dense ``rows``: same matrix, same view, and
+    only nonzeros stored, in increasing column order."""
+    assert (m.rows, m.cols, m.data) == (len(rows), cols, rows)
+    same = IntMatrix(len(rows), cols, rows)
+    assert m == same and hash(m) == hash(same)
+    assert m.nonzeros == tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_constructors_agree(data):
+    r, c = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    rows = dense(data, r, c)
+    # dicts hold the zeros too, and list columns from last to first
+    from_dicts = IntMatrix.from_nonzeros([dict(reversed(list(enumerate(row)))) for row in rows], c)
+    for m in (IntMatrix(r, c, rows), IntMatrix.from_rows([list(row) for row in rows], cols=c),
+              from_dicts):
+        stored(rows, c, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_matrix_operations_match_dense_arithmetic(data):
+    r, c, p, s, q = (data.draw(st.integers(0, 8)) for _ in range(5))
+    a, b = dense(data, r, c), dense(data, c, p)
+    right, below, corner = dense(data, r, q), dense(data, s, c), dense(data, s, q)
+    v = data.draw(st.lists(st.integers(-9, 9), min_size=c, max_size=c))
+    k = data.draw(st.integers(-3, 3))
+    A, B = IntMatrix.from_rows(a, cols=c), IntMatrix.from_rows(b, cols=p)
+    R, S, C = (IntMatrix.from_rows(m, cols=n) for m, n in ((right, q), (below, c), (corner, q)))
+
+    stored(tuple(zip(*a)) if r else ((),) * c, r, A.transpose())
+    stored(tuple(tuple(sum(a[i][t] * b[t][j] for t in range(c)) for j in range(p))
+                 for i in range(r)), p, A.mul(B))
+    assert A.mul_vec(v) == tuple(sum(a[i][t] * v[t] for t in range(c)) for i in range(r))
+    stored(tuple(x + y for x, y in zip(a, right)), c + q, hstack([A, R]))
+    stored(a + below, c, vstack([A, S]))
+    stored(tuple(x + y for x, y in zip(a + below, right + corner)), c + q,
+           block_matrix([[A, R], [S, C]]))
+    for factor in (k, 0):
+        stored(tuple(tuple(factor * x for x in row) for row in a), c, A.scale(factor))
+    assert A.is_zero() == (not any(map(any, a)))
+    assert all(A.col(j) == tuple(row[j] for row in a) for j in range(c))
+    assert A.diagonal() == tuple(a[i][i] for i in range(min(r, c)))
+
+
+def test_sparse_constructor_rejects_columns_out_of_range():
+    for row in ({3: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            IntMatrix.from_nonzeros([{}, row], 3)
+    assert IntMatrix.from_nonzeros([{2: 0, 0: 5}], 3).data == ((5, 0, 0),)
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_matrix_hash_reads_the_entries_once():
 
     a = IntMatrix(2, 2, ((Entry(1), Entry(0)), (Entry(0), Entry(2))))
     assert hash(a) == hash(a) == hash(IntMatrix.from_rows([[1, 0], [0, 2]]))
-    assert len(hashed) == 4
+    assert len(hashed) == 2
 
 
 @st.composite
