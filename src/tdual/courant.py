@@ -27,6 +27,12 @@ def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
     return (w - w.pullback(deck_a, deck_two_b)).scale_rat(Fraction(1, 2))
 
 
+# The largest base dimension of a loaded context, so that a few bytes of
+# JSON cannot ask for any size: the CLI's checks take 1.5 s over T^4, 41 s
+# and 485 MB over T^8.
+MAX_BASE_DIM = 4
+
+
 def _check_base_dim(d: int) -> None:
     if d < 1:
         raise ValueError(f"base dimension must be at least 1, not {d}")
@@ -143,6 +149,8 @@ class EquivariantContext:
     def from_json_dict(obj: dict) -> "EquivariantContext":
         d = json_int(obj["dim"], "dim")
         _check_base_dim(d)  # before the forms, whose frequencies have d entries
+        if d > MAX_BASE_DIM:
+            raise ValueError(f"base dimension must be at most {MAX_BASE_DIM}, not {d}")
         deck = obj.get("deck", {})
         a_rows = tuple(tuple(json_int(v, "deck.A") for v in r)
                        for r in deck.get("A", [[1 if i == j else 0 for j in range(d)]

@@ -2,9 +2,11 @@
 
 The dense elimination and product that ``tdual.exactalg`` used before its
 loops were made to follow the nonzeros.  Kept verbatim as a test oracle:
-the differential tests require ``exactalg`` to produce exactly the same
-D, U, V, L, kernels, solutions and products.  Nothing under ``src/``
-imports this module.
+the differential tests require ``exactalg`` to produce exactly the same D
+and products, the same solvability and kernel lattice, and transforms
+that factor A; ``exactalg`` takes its +-1 pivots in another order, so its
+L, R, U and V differ from these.  Nothing under ``src/`` imports this
+module.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from tdual import exactalg
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
 from tdual.complexes import MAX_CELLS
-from tdual.courant import standard_contexts
+from tdual.courant import MAX_BASE_DIM, standard_contexts
 from tdual.fixtures import klein_fixtures
 from tdual.pipeline import run_fixtures, run_pipeline
 
@@ -271,6 +271,9 @@ def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
                          (setter("b", ["1/2", "0", "0"]), "deck shift must have 2 entries, not 3"),
                          (setter("dim", 0), "base dimension must be at least 1, not 0"),
                          (setter("dim", -1), "base dimension must be at least 1, not -1"),
+                         (setter("dim", MAX_BASE_DIM + 1),
+                          f"base dimension must be at most {MAX_BASE_DIM}, not {MAX_BASE_DIM + 1}"),
+                         (setter("dim", 10 ** 9), "base dimension must be at most"),
                          (dx([3]), "coordinate index out of range"),
                          (dx([1, 0]), "component keys must be sorted and distinct"),
                          (dx([1, 1]), "component keys must be sorted and distinct")):

@@ -9,8 +9,11 @@ nothing on stderr.  No run may raise, and no message may carry Python's own word
 for a wrongly shaped document (the loaders' TypeError, AttributeError and
 IndexError messages).
 
-Numbers stay small: a count such as ``"vertices"`` sizes the matrices
-built from the document.
+Drawn integers stay small, since a count such as ``"vertices"`` sizes
+the matrices built from the document and one just under the cap would
+take seconds.  A few boundary integers are sampled as they are: one past
+the cell cap ``MAX_CELLS``, +-10^9 and 2^63, which must be refused or
+used without a crash.
 """
 
 import io
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from tdual.bundles import BundleDescriptor
 from tdual.cli import main
-from tdual.complexes import DeltaComplex, LocalSystem
+from tdual.complexes import MAX_CELLS, DeltaComplex, LocalSystem
 from tdual.courant import standard_contexts
 from tdual.tduality import FluxPair, construct_tdual
 
@@ -41,6 +44,7 @@ PYTHON_WORDING = (
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 6)
+    | st.sampled_from([MAX_CELLS + 1, 10 ** 9, -10 ** 9, 2 ** 63])
     | st.floats(-4, 4, allow_nan=False) | st.text(max_size=4),
     lambda kids: st.lists(kids, max_size=4)
     | st.dictionaries(st.text(max_size=6), kids, max_size=4),
