@@ -22,8 +22,8 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
-from math import gcd
+from itertools import accumulate, chain, compress
+from math import gcd, prod
 from typing import Callable, Mapping, Optional, Sequence
 
 
@@ -81,11 +81,7 @@ class IntMatrix:
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
         if self._data is None:
-            dense = [[0] * self.cols for _ in self.nonzeros]
-            for row, r in zip(dense, self.nonzeros):
-                for j, x in r:
-                    row[j] = x
-            self._data = tuple(map(tuple, dense))
+            self._data = tuple(map(tuple, _dense(self.nonzeros, self.cols)))
         return self._data
 
     @staticmethod
@@ -155,7 +151,10 @@ def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ValueError("row mismatch in hstack")
-    return vstack([b.transpose() for b in blocks]).transpose()
+    offsets = list(accumulate([b.cols for b in blocks], initial=0))  # block k starts at offsets[k]
+    return IntMatrix._of(rows, offsets[-1], tuple(
+        tuple([(o + j, x) for o, row in zip(offsets, line) for j, x in row])
+        for line in zip(*(b.nonzeros for b in blocks))))
 
 
 def vstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -210,8 +209,10 @@ class _Smith:
     is deterministic.  ``_unit_pivots`` first eliminates the +-1 pivots,
     fewest rows first, onto diagonal positions 0..u-1; the loop below runs
     from t = u on the core left over, which holds no +-1, taking the entry
-    of minimal absolute value, ties broken by lowest (row, col).  D is
-    unique; L, R and the generators read off them follow the pivot order.
+    of minimal absolute value, ties broken by lowest (row, col), and
+    reducing by nearest-integer quotients, remainders in [-p/2, p/2): fewer
+    steps than the floor (Knuth, TAOCP vol. 2, 4.5.3).  D is unique; L, R
+    and the generators read off them follow the pivot order.
 
     The elimination is sparse: it does work in proportion to the nonzeros
     it touches, not to the size of the matrix or the remaining block.
@@ -236,9 +237,10 @@ class _Smith:
       and ``_apply`` multiplies a batch of vectors by L, R or their
       inverses in one pass.  Only ``diag``, the input and the two logs are
       kept, so all reads share one factorization, in any order.
-    - As A R = Linv D, column i < rank of Linv is A R e_i / d_i (d_i > 0),
-      through the column log: only the other columns go through the row
-      log, several times longer than the column log on dense input.
+    - As A R = Linv D, column i < rank of Linv is A R e_i / d_i (d_i > 0).
+      One pass of the column log over the rows of A gives the rows of A R;
+      only the other columns go through the row log, several times longer
+      than the column log on dense input.
     """
 
     def __init__(self, a: IntMatrix):
@@ -280,16 +282,16 @@ class _Smith:
                     A[t] = At = {k: -v for k, v in At.items()}
                     row_log += (t, t, 0)
 
-                pivot = At[t]
+                pivot, half = At[t], 2 * At[t]
                 for i in [i for i in rows_of[t] if i != t]:
-                    q = A[i][t] // pivot
+                    q = (2 * A[i][t] + pivot) // half  # nearest: |remainder| <= pivot / 2
                     if q:  # row i -= q * row t
                         _add_row(A[i], -q, At, rows_of, i)
                         row_log += (i, t, -q)
                 if len(rows_of[t]) > 1:
                     continue  # a smaller remainder appeared; re-pivot
                 for j in [j for j in At if j != t]:
-                    q = At[j] // pivot
+                    q = (2 * At[j] + pivot) // half
                     if q:  # col j -= q * col t
                         v = At[j] - q * pivot
                         if v:
@@ -325,11 +327,12 @@ class _Smith:
                                        + [{}] * (m - len(self.diag)), n)
 
     def u_matrix(self) -> IntMatrix:
-        """Linv, with A = Linv * D * Rinv: column i < rank is A R e_i / d_i,
-        the others Linv e_i through the row log."""
+        """Linv, with A = Linv * D * Rinv: column i < rank is column i of
+        A R over d_i, whose rows R^T a_k, a_k the rows of A, take one pass
+        of the column log; the others are Linv e_i through the row log."""
         (m, n), r = self.shape, self.rank
-        image = [[x // d for x in self._a.mul_vec(v)]
-                 for v, d in zip(self.right(_units(range(r), n)), self.diag)]
+        a_r = _apply(self._col_log, n, _dense(self._a.nonzeros, n), False, False)
+        image = [[row[i] // d for row in a_r] for i, d in enumerate(self.diag[:r])]
         return _columns(image + _apply(self._row_log, m, _units(range(r, m), m), False, True), m)
 
     def v_matrix(self) -> IntMatrix:
@@ -355,26 +358,18 @@ class _Smith:
         if len(b) != m:
             raise ValueError("rhs length mismatch")
         c, = self.left([b])
-        diag = self.diag
-        y = [0] * n
-        for i, d in enumerate(diag):
-            if d == 0:
-                if c[i] != 0:
-                    raise NoSolution("inconsistent row in diagonalized system")
-            else:
-                if c[i] % d:
-                    raise NoSolution("divisibility obstruction")
-                y[i] = c[i] // d
-        for i in range(len(diag), m):
-            if c[i] != 0:
-                raise NoSolution("inconsistent row in diagonalized system")
-        x, = self.right([y])
+        factors = self.diag[:self.rank]  # the nonzero diagonal comes first
+        if any(y % d for y, d in zip(c, factors)):
+            raise NoSolution("divisibility obstruction")
+        if any(c[self.rank:]):
+            raise NoSolution("inconsistent row in diagonalized system")
+        x, = self.right([[y // d for y, d in zip(c, factors)] + [0] * (n - self.rank)])
         return x
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel lattice of A."""
-        diag, n = self.diag, self.shape[1]
-        return self.right(_units([j for j in range(n) if j >= len(diag) or diag[j] == 0], n))
+        n = self.shape[1]
+        return self.right(_units(range(self.rank, n), n))
 
 
 def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequence[int]],
@@ -390,7 +385,8 @@ def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequen
     - L v: the row log in order, line i += c line j;
     - L^-1 v (``inverse``): the row log last-first, line i -= c line j;
     - R v (``columns``): the column log last-first, line j += c line i;
-    - R^-1 v (both): the column log in order, line j -= c line i.
+    - R^-1 v (both): the column log in order, line j -= c line i;
+    - R^T v: a column log read with ``columns`` False: in order, line i += c line j.
 
     Line i holds coordinate i of every vector, as a dict over the vectors
     where it is nonzero, so each operation costs the nonzeros of its
@@ -463,7 +459,9 @@ def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     out = [0] * n
     for k, c in pairs:
         if c:
-            out = [x + c * y for x, y in zip(out, vectors[k])]
+            v = vectors[k]
+            for i in compress(range(n), v):
+                out[i] += c * v[i]
     return out
 
 
@@ -474,6 +472,15 @@ def _columns(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
         for i in compress(range(n), v):
             rows[i].append((k, v[i]))
     return IntMatrix._of(n, len(vectors), tuple(map(tuple, rows)))
+
+
+def _dense(nonzeros: Sequence[Sequence[tuple[int, int]]], n: int) -> list[list[int]]:
+    """The length-n dense lists of rows given as (column, value) pairs."""
+    out = [[0] * n for _ in nonzeros]
+    for row, r in zip(out, nonzeros):
+        for j, x in r:
+            row[j] = x
+    return out
 
 
 def _units(indices, n: int) -> list[list[int]]:
@@ -613,12 +620,7 @@ class FGAbelianGroup:
 
     def order(self) -> Optional[int]:
         """Group order; None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
 
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         rels = (*self.torsion, *other.torsion)
@@ -657,10 +659,7 @@ class PresentedGroup:
 def normal_form(g: PresentedGroup) -> FGAbelianGroup:
     """Cokernel of the relation matrix in invariant-factor form."""
     s = _smith_cached(g.relations)
-    diag = s.diag
-    torsion = tuple(d for d in diag if d > 1)
-    rank = g.ambient_rank - s.rank
-    return FGAbelianGroup(rank, torsion)
+    return FGAbelianGroup(g.ambient_rank - s.rank, tuple(d for d in s.diag if d > 1))
 
 
 # ---------------------------------------------------------------------------

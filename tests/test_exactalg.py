@@ -85,6 +85,7 @@ def test_matrix_operations_match_dense_arithmetic(data):
                  for i in range(r)), p, A.mul(B))
     assert A.mul_vec(v) == tuple(sum(a[i][t] * v[t] for t in range(c)) for i in range(r))
     stored(tuple(x + y for x, y in zip(a, right)), c + q, hstack([A, R]))
+    stored(tuple(y + x + y for x, y in zip(a, right)), c + 2 * q, hstack([R, A, R]))
     stored(a + below, c, vstack([A, S]))
     stored(tuple(x + y for x, y in zip(a + below, right + corner)), c + q,
            block_matrix([[A, R], [S, C]]))

@@ -1,5 +1,6 @@
 """Every name a ``tdual`` module imports at module level is used there,
-and no ``tdual`` function imports anything.
+no ``tdual`` function imports anything, and the dense view
+``IntMatrix.data`` is read only where it is allowed.
 
 The package ``__init__`` is skipped by the unused-import check: its
 imports are the public re-exports.
@@ -15,6 +16,14 @@ ALLOWED = {
     ("bundles", "homology_at"):
         "perfbench/test_perfbench.py asserts that tracing rebinds "
         "tdual.bundles.homology_at",
+}
+
+# The (module, qualified name) scopes that may read ``.data``, the dense
+# view of an IntMatrix kept for tests and oracles; the package follows the
+# nonzeros everywhere else.
+DATA_READERS = {
+    ("exactalg", "IntMatrix.__repr__"),
+    ("exactalg", "determinant"),
 }
 
 
@@ -57,3 +66,35 @@ def test_no_imports_inside_functions():
                 found += [f"{path.stem}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert not found, "imports inside functions: " + ", ".join(sorted(set(found)))
+
+
+def attribute_reads(tree: ast.Module, attr: str) -> list[tuple[str, int]]:
+    """(qualified name of the enclosing class or def, line) of each read
+    of ``.attr``; reads at module level have the scope ""."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == attr
+                    and isinstance(child.ctx, ast.Load)):
+                found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_dense_view_is_read_only_where_allowed():
+    sample = "class M:\n    def f(self, m):\n        return m.data\nx = y.data\n"
+    assert attribute_reads(ast.parse(sample), "data") == [("M.f", 3), ("", 4)]
+    found, readers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope, line in attribute_reads(ast.parse(path.read_text()), "data"):
+            readers.add((path.stem, scope))
+            if (path.stem, scope) not in DATA_READERS:
+                found.append(f"{path.stem}:{line} in {scope or 'module'}")
+    assert not found, "reads of the dense view IntMatrix.data: " + ", ".join(found)
+    assert DATA_READERS <= readers, DATA_READERS - readers

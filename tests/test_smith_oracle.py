@@ -356,6 +356,52 @@ def test_u_from_image_and_cokernel_columns_matches_dense(a, diag):
     assert_factorization(s, a)
 
 
+def low_rank_matrix(rng, rows, cols):
+    """A product through at most three inner dimensions: rank deficient."""
+    inner = rng.randint(0, 3)
+    return dense_matrix(rng, rows, inner, bound=6).mul(dense_matrix(rng, inner, cols, bound=6))
+
+
+U_CASES = {"dense": dense_matrix, "sparse-unit": sparse_unit_matrix,
+           "diagonal-heavy": diagonal_heavy_matrix, "low-rank": low_rank_matrix}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(U_CASES)), st.integers(0, 12), st.integers(0, 12),
+       st.integers(0, 10 ** 6))
+@example("dense", 0, 5, 0)
+@example("diagonal-heavy", 4, 0, 0)
+@example("low-rank", 9, 7, 1)
+def test_u_image_columns_are_a_r_e_i_over_d_i(kind, rows, cols, seed):
+    """U's first rank columns, read off the rows of A R in one pass of the
+    column log, are A R e_i / d_i computed column by column; the shapes
+    include 0 rows or 0 columns (as zero matrices) and rank-deficient
+    matrices."""
+    rng = random.Random(seed)
+    a = U_CASES[kind](rng, rows, cols) if rows and cols else IntMatrix.zeros(rows, cols)
+    s = _Smith(a)
+    r = s.rank
+    u = s.u_matrix()
+    image = [a.mul_vec(col) for col in s.right(exactalg._units(range(r), cols))]
+    assert all(x % d == 0 for column, d in zip(image, s.diag) for x in column)
+    assert [u.col(i) for i in range(r)] == [tuple(x // d for x in column)
+                                            for column, d in zip(image, s.diag)]
+    assert s.diag == DenseSmith(a).diag
+    assert_factorization(s, a)
+
+
+def test_dense_row_work_stays_below_floor_quotient_work():
+    """Eight dense 24 x 24 matrices, entries within 50: the row logs hold
+    at most 14,000 additions.  The minimal-entry loop's nearest-integer
+    quotients make 13,192 on these matrices; floor quotients make 16,603."""
+    rng = random.Random(7)
+    additions = 0
+    for _ in range(8):
+        a = IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(24)] for _ in range(24)])
+        additions += sum(1 for c in _Smith(a)._row_log[2] if c)
+    assert additions <= 14_000, additions
+
+
 def test_u_of_full_row_rank_applies_no_row_operation(monkeypatch):
     """With rank = rows, every column of U comes from A R e_i / d_i: the
     row log, several times as long as the column log on dense input, is
