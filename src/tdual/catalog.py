@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bundles import BundleDescriptor
-from .complexes import DeltaComplex, LocalSystem, System, cohomology
+from .complexes import MAX_CELLS, DeltaComplex, LocalSystem, System, cohomology
 from .exactalg import FGAbelianGroup, IntMatrix, NoSolution, solve_mod
 from .tduality import FluxPair
 
@@ -28,7 +28,7 @@ class InvalidXi(Exception):
 
 class OutOfRange(ValueError):
     """A catalog parameter outside its range: a genus or crosscap count
-    below 1, or an index j or k outside its group."""
+    below 1 or past the cell cap, or an index j or k outside its group."""
 
 
 class JOutOfRange(OutOfRange):
@@ -159,29 +159,25 @@ def _midpoint_subdivide(raw: _Raw) -> tuple[_Raw, list[tuple[int, int]]]:
         fixed.append(((mid(f2), mid(f1)), (mid(f2), mid(f0))))
         free10.append(((mid(f1), mid(f0)), (mid(f0), mid(f1))))
 
-    choice = [0] * ntri
-
-    def place(t: int) -> bool:
-        if t == ntri:
-            return True
+    # Backtrack over the triangles with an explicit stack, trying variant 0
+    # before 1: choice[t] is the variant placed at triangle t, -1 for none.
+    choice = [-1] * ntri
+    t = 0
+    while 0 <= t < ntri:
         i21, i20 = fixed[t]
-        own = {i21: 1, i20: 1}
-        if len(own) < 2 or i21 in used or i20 in used:
-            return False
-        for variant in (0, 1):
-            i10 = free10[t][variant]
-            if i10 in used or i10 in own:
-                continue
-            for tup in (i21, i20, i10):
-                used[tup] = 1
-            choice[t] = variant
-            if place(t + 1):
-                return True
-            for tup in (i21, i20, i10):
+        if choice[t] >= 0:  # back at t: take its variant out
+            for tup in (i21, i20, free10[t][choice[t]]):
                 del used[tup]
-        return False
-
-    if not place(0):
+        fits = i21 != i20 and i21 not in used and i20 not in used
+        choice[t] = next((v for v in range(choice[t] + 1, 2) if fits
+                          and free10[t][v] not in used and free10[t][v] not in (i21, i20)), -1)
+        if choice[t] < 0:
+            t -= 1
+            continue
+        for tup in (i21, i20, free10[t][choice[t]]):
+            used[tup] = 1
+        t += 1
+    if t < 0:
         raise ValueError("no collision-free subdivision orientation found")
 
     int_index: list[tuple[int, int, int]] = []
@@ -322,10 +318,19 @@ def klein_bottle() -> SpaceInfo:
     return _surface_from_word("klein_bottle", (("a", 1), ("a", 1), ("b", 1), ("b", 1)))
 
 
+def _check_edges(name: str, edges: int, reason: str) -> None:
+    """Reject a surface of more edges than a loaded complex may have cells
+    of one dimension, before its polygon word is built."""
+    if edges > MAX_CELLS:
+        raise OutOfRange(f"{reason}: {name} has {edges} edges, "
+                         f"more than complexes.MAX_CELLS = {MAX_CELLS}")
+
+
 @lru_cache(maxsize=64)
 def sigma(g: int) -> SpaceInfo:
     if g < 1:
         raise OutOfRange("genus must be >= 1")
+    _check_edges(f"sigma({g})", 24 * g, f"genus must be at most {MAX_CELLS // 24}")
     word: list[tuple[str, int]] = []
     for i in range(1, g + 1):
         word += [(f"a{i}", 1), (f"b{i}", 1), (f"a{i}", -1), (f"b{i}", -1)]
@@ -336,6 +341,7 @@ def sigma(g: int) -> SpaceInfo:
 def crosscap_sum(n: int) -> SpaceInfo:
     if n < 1:
         raise OutOfRange("need at least one crosscap")
+    _check_edges(f"crosscap({n})", 12 * n, f"crosscap count must be at most {MAX_CELLS // 12}")
     word: list[tuple[str, int]] = []
     for i in range(1, n + 1):
         word += [(f"a{i}", 1), (f"a{i}", 1)]

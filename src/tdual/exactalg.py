@@ -207,31 +207,28 @@ class _Smith:
 
     ``A = Linv * D * Rinv`` with ``Linv``, ``Rinv`` unimodular.  Pivoting
     is deterministic.  ``_unit_pivots`` first eliminates the +-1 pivots,
-    fewest rows first, onto diagonal positions 0..u-1; the loop below runs
-    from t = u on the core left over, which holds no +-1, taking the entry
-    of minimal absolute value, ties broken by lowest (row, col), and
-    reducing by nearest-integer quotients, remainders in [-p/2, p/2): fewer
-    steps than the floor (Knuth, TAOCP vol. 2, 4.5.3).  D is unique; L, R
-    and the generators read off them follow the pivot order.
+    fewest rows first; the loop below then takes, in the core left over,
+    which holds no +-1, the entry of minimal absolute value, ties broken by
+    lowest (row, col).  Both eliminate by ``_eliminate``, whose
+    nearest-integer quotients take fewer steps than the floor (Knuth,
+    TAOCP vol. 2, 4.5.3).  D is unique; L, R and the generators read off
+    them follow the pivot order.
 
     The elimination is sparse: it does work in proportion to the nonzeros
     it touches, not to the size of the matrix or the remaining block.
 
     - Rows of A are dicts holding only their nonzeros, and ``rows_of[j]``
       is the set of rows with a nonzero in column j of A, kept in step
-      with every row operation.  A column swap touches only the rows in
-      the two sets, and the rows to clear below the pivot are
-      ``rows_of[t]``.
-    - At step t, rows and columns with index below t are zero off the
-      diagonal, so in rows >= t only columns >= t can be nonzero and whole
-      rows can be scanned.  No entry is smaller than a +-1, so the pivot
-      search stops at the first row from t holding one and takes its
-      lowest such column: the entry a scan of the whole block picks.
+      with every row operation: the rows to clear under a pivot in column
+      j are ``rows_of[j]``.
+    - Everything runs in the input's frame: no row or column moves while
+      pivots are taken.  A pivot's row and column are zero but for it once
+      it is taken, so the active rows, those not yet pivoted, are zero in
+      the pivot columns and whole rows can be scanned.  ``_place`` then
+      moves pivot k to diagonal position k and makes it positive, so each
+      log holds every swap and negation after every addition.
     - A unit pivot divides every entry, so the divisibility pass is
       vacuous and skipped.
-    - Row t of A does not change while the rows below it are cleared.
-      Column t of A is zero off row t while row t is cleared, so a column
-      operation changes only ``A[t][j]``.
     - The elimination touches A only.  Its row and column operations are
       appended to a row log and a column log, the only record of L and R,
       and ``_apply`` multiplies a batch of vectors by L, R or their
@@ -247,77 +244,29 @@ class _Smith:
         self._a = a
         self.shape = m, n = a.rows, a.cols
         row_log, col_log = [], []  # (i, j, c) triples, packed by _pack
-        t, A = _unit_pivots([dict(row) for row in a.nonzeros], n, row_log, col_log)
-        rows_of = _rows_of(A, n)
-
-        while t < min(m, n):
-            while True:
-                found = _find_pivot(A, t)
-                if found is None:
-                    break
-                bi, bj = found
-                if bi != t:
-                    new_t, new_b = A[bi], A[t]
-                    for j in new_t.keys() - new_b.keys():
-                        rows_of[j].remove(bi)
-                        rows_of[j].add(t)
-                    for j in new_b.keys() - new_t.keys():
-                        rows_of[j].remove(t)
-                        rows_of[j].add(bi)
-                    A[t], A[bi] = new_t, new_b
-                    row_log += (t, bi, 0)
-                if bj != t:
-                    ct, cb = rows_of[t], rows_of[bj]
-                    for i in ct | cb:
-                        row = A[i]
-                        vt, vb = row.pop(t, 0), row.pop(bj, 0)
-                        if vb:
-                            row[t] = vb
-                        if vt:
-                            row[bj] = vt
-                    rows_of[t], rows_of[bj] = cb, ct
-                    col_log += (t, bj, 0)
-                At = A[t]
-                if At[t] < 0:
-                    A[t] = At = {k: -v for k, v in At.items()}
-                    row_log += (t, t, 0)
-
-                pivot, half = At[t], 2 * At[t]
-                for i in [i for i in rows_of[t] if i != t]:
-                    q = (2 * A[i][t] + pivot) // half  # nearest: |remainder| <= pivot / 2
-                    if q:  # row i -= q * row t
-                        _add_row(A[i], -q, At, rows_of, i)
-                        row_log += (i, t, -q)
-                if len(rows_of[t]) > 1:
-                    continue  # a smaller remainder appeared; re-pivot
-                for j in [j for j in At if j != t]:
-                    q = (2 * At[j] + pivot) // half
-                    if q:  # col j -= q * col t
-                        v = At[j] - q * pivot
-                        if v:
-                            At[j] = v
-                        else:
-                            del At[j]
-                            rows_of[j].remove(t)
-                        col_log += (j, t, -q)
-                if len(At) > 1:
-                    continue
-                if pivot == 1:
-                    break
-                # pivot row/col clean: enforce divisibility over the rest
-                bad = next((i for i in range(t + 1, m)
-                            if any(x % pivot for x in A[i].values())), None)
-                if bad is None:
-                    break
-                # row t += row bad
-                _add_row(At, 1, A[bad], rows_of, t)
-                row_log += (t, bad, 1)
-            if found is None:
-                break
-            t += 1
-
-        self.diag = tuple(A[i].get(i, 0) for i in range(min(m, n)))
-        self.rank = sum(1 for d in self.diag if d)
+        A = [dict(row) for row in a.nonzeros]
+        rows_of = [set() for _ in range(n)]
+        for i, row in enumerate(A):
+            for j in row:
+                rows_of[j].add(i)
+        pivots = _unit_pivots(A, rows_of, row_log, col_log)
+        done = {i for i, _ in pivots}
+        active = [i for i, row in enumerate(A) if row and i not in done]
+        while (found := _find_pivot(A, active)) is not None:
+            i, j = found
+            if not _eliminate(A, rows_of, i, j, row_log, col_log):
+                continue  # a smaller remainder appeared; re-pivot
+            p = A[i][j]
+            bad = next((k for k in active if k != i and any(x % p for x in A[k].values())),
+                       None) if abs(p) > 1 else None
+            if bad is not None:  # enforce divisibility: row i += row bad, re-pivot
+                _add_row(A[i], 1, A[bad], rows_of, i)
+                row_log += (i, bad, 1)
+                continue
+            active.remove(i)
+            pivots.append((i, j))
+        self.diag = _place(A, pivots, m, n, row_log, col_log)
+        self.rank = len(pivots)
         self._row_log = _pack(row_log)
         self._col_log = _pack(col_log)
 
@@ -488,30 +437,47 @@ def _units(indices, n: int) -> list[list[int]]:
     return [[0] * i + [1] + [0] * (n - 1 - i) for i in indices]
 
 
-def _rows_of(A: list[dict], n: int) -> list[set]:
-    """The column index of A: the set of rows with a nonzero in column j."""
-    rows_of = [set() for _ in range(n)]
-    for i, row in enumerate(A):
-        for j in row:
-            rows_of[j].add(i)
-    return rows_of
+def _eliminate(A: list[dict], rows_of: list[set], i: int, j: int,
+               row_log: list, col_log: list) -> bool:
+    """Reduce column j, then row i, by the pivot p = A[i][j], logging each
+    operation; return whether p is then alone in both.  Each entry a is
+    reduced by the nearest-integer quotient of a / p, to a remainder in
+    [-|p|/2, |p|/2]: exact on p = +-1.  Column j is clear before row i is
+    reduced, so a column operation changes only row i."""
+    row, p = A[i], A[i][j]
+    half = 2 * p
+    for k in [k for k in rows_of[j] if k != i]:
+        q = (2 * A[k][j] + p) // half
+        if q:  # row k -= q * row i
+            _add_row(A[k], -q, row, rows_of, k)
+            row_log += (k, i, -q)
+    if len(rows_of[j]) > 1:
+        return False
+    for l in [l for l in row if l != j]:
+        q = (2 * row[l] + p) // half
+        if q:  # col l -= q * col j
+            v = row[l] - q * p
+            if v:
+                row[l] = v
+            else:
+                del row[l]
+                rows_of[l].remove(i)
+            col_log += (l, j, -q)
+    return len(row) == 1
 
 
-def _unit_pivots(A: list[dict], n: int, row_log: list, col_log: list) -> tuple[int, list[dict]]:
-    """Eliminate the +-1 pivots of A, logging each operation; return their
-    number u and A in coordinates where they are the diagonal 1s 0..u-1.
+def _unit_pivots(A: list[dict], rows_of: list[set], row_log: list, col_log: list) -> list:
+    """Eliminate the +-1 pivots of A by ``_eliminate``; return their
+    (row, column) in the order taken.
 
     A lazy heap of (rows in column j, j) pops the column with fewest rows;
     its pivot is the +-1 in the row with fewest nonzeros, ties to the lower
-    row.  Row additions clear the column, then column operations the row,
-    changing only it.  Only the pivot row's columns change, so only they
-    are pushed again: no +-1 is left outside the pivots.  On vertex-edge
-    coboundaries this makes fewer row additions than A has nonzeros, where
-    the first row holding a +-1 contracts vertices into hubs.  Nothing
-    moves until the end: then row and column swaps, and a negation for
-    each -1 pivot, are logged.
+    row.  Only the pivot row's columns change, so only they are pushed
+    again: no +-1 is left outside the pivots.  On vertex-edge coboundaries
+    this makes fewer row additions than A has nonzeros, where the first
+    row holding a +-1 contracts vertices into hubs.  Nothing moves: each
+    pivot stays at its place in the input, and its sign is kept.
     """
-    rows_of = _rows_of(A, n)
     heap = [(len(rows), j) for j, rows in enumerate(rows_of) if rows]
     heapify(heap)
     pivots, done = [], set()
@@ -524,40 +490,23 @@ def _unit_pivots(A: list[dict], n: int, row_log: list, col_log: list) -> tuple[i
         if not units:
             continue
         i = min(units)[1]
-        row, p = A[i], A[i][j]
-        for k in [k for k in col if k != i]:
-            c = -A[k][j] * p  # row k -= (A[k][j] / p) * row i
-            _add_row(A[k], c, row, rows_of, k)
-            row_log += (k, i, c)
-        for l in [l for l in row if l != j]:
-            col_log += (l, j, -row[l] * p)  # col l -= (A[i][l] / p) * col j
-            rows_of[l].remove(i)
+        changed = [l for l in A[i] if l != j]
+        _eliminate(A, rows_of, i, j, row_log, col_log)
+        for l in changed:
             heappush(heap, (len(rows_of[l]), l))
-        A[i] = {j: p}
         pivots.append((i, j))
         done.add(j)
-    u = len(pivots)
-    row_at, col_at = list(range(len(A))), list(range(n))  # position -> line
-    row_pos, col_pos = row_at[:], col_at[:]  # line -> position
-    for k, (i, j) in enumerate(pivots):
-        for at, pos, log, x in ((row_at, row_pos, row_log, i), (col_at, col_pos, col_log, j)):
-            q, y = pos[x], at[k]
-            if q != k:  # swap positions k and q
-                at[k], at[q], pos[x], pos[y] = x, y, k, q
-                log += (k, q, 0)
-        if A[i][j] < 0:  # later swaps leave position k alone
-            row_log += (k, k, 0)
-    return u, [{k: 1} for k in range(u)] + [{col_pos[j]: x for j, x in A[i].items()}
-                                            for i in row_at[u:]]
+    return pivots
 
 
-def _find_pivot(A: list[dict], t: int) -> Optional[tuple[int, int]]:
-    """(row, col) of the entry of minimal |value| in rows and columns >= t,
-    ties to the lowest (row, col); None when that block is zero.  Rows >= t
-    must be zero in columns < t, so whole rows can be scanned; the scan
-    stops at the first row holding a +-1, since nothing is smaller."""
+def _find_pivot(A: list[dict], active: Sequence[int]) -> Optional[tuple[int, int]]:
+    """(row, col) of the entry of minimal |value| in the ``active`` rows,
+    listed in increasing order, ties to the lowest (row, col); None when
+    they are zero.  Active rows are zero in the pivot columns, so whole
+    rows can be scanned; the scan stops at the first row holding a +-1,
+    since nothing is smaller."""
     best, at = 0, None
-    for i in range(t, len(A)):
+    for i in active:
         row = A[i]
         if row:
             v = min(map(abs, row.values()))
@@ -568,6 +517,25 @@ def _find_pivot(A: list[dict], t: int) -> Optional[tuple[int, int]]:
     if at is None:
         return None
     return at, min(j for j, x in A[at].items() if x == best or x == -best)
+
+
+def _place(A: list[dict], pivots: Sequence[tuple[int, int]], m: int, n: int,
+           row_log: list, col_log: list) -> tuple[int, ...]:
+    """Move pivot k to diagonal position k by row and column swaps, then
+    negate the row of each negative pivot, logging each operation; return
+    the diagonal.  Pivot k's row and column are zero but for it, and a
+    later swap leaves position k alone."""
+    row_at, col_at = list(range(m)), list(range(n))  # position -> line
+    row_pos, col_pos = row_at[:], col_at[:]  # line -> position
+    for k, (i, j) in enumerate(pivots):
+        for at, pos, log, x in ((row_at, row_pos, row_log, i), (col_at, col_pos, col_log, j)):
+            q, y = pos[x], at[k]
+            if q != k:  # swap positions k and q
+                at[k], at[q], pos[x], pos[y] = x, y, k, q
+                log += (k, q, 0)
+        if A[i][j] < 0:
+            row_log += (k, k, 0)
+    return tuple(abs(A[i][j]) for i, j in pivots) + (0,) * (min(m, n) - len(pivots))
 
 
 @lru_cache(maxsize=4096)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tdual import exactalg
+from tdual import catalog, exactalg
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
 from tdual.complexes import MAX_CELLS
@@ -133,6 +133,23 @@ def test_tables_command(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {reason}\n"
+
+
+def test_tables_reject_surfaces_past_the_cell_cap(capsys, monkeypatch):
+    """sigma(g) has 24g edges and crosscap(n) 12n; past MAX_CELLS, the cap
+    on a loaded complex's cells of one dimension, the catalog exits 2
+    before it builds the polygon word."""
+    monkeypatch.setattr(catalog, "_surface_from_word", None)
+    for argv, reason in (
+            (["sigma", "--g", "4167"], "genus must be at most 4166: sigma(4167) has 100008 edges"),
+            (["sigma", "--g", "100000000"],
+             "genus must be at most 4166: sigma(100000000) has 2400000000 edges"),
+            (["crosscap", "--n", "8334"],
+             "crosscap count must be at most 8333: crosscap(8334) has 100008 edges")):
+        assert main(["tables"] + argv + ["--j", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {reason}, more than complexes.MAX_CELLS = {MAX_CELLS}\n"
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -92,6 +93,22 @@ def test_catalog_euler_characteristics():
     for info, chi in [(torus(), 0), (klein_bottle(), 0), (sigma(2), -2),
                       (sigma(3), -4), (crosscap_sum(1), 1), (crosscap_sum(3), -1)]:
         assert info.complex.euler_characteristic() == chi
+
+
+def test_large_surfaces_build_under_the_default_recursion_limit():
+    """The subdivision backtracks with an explicit stack: one Python frame
+    per cone triangle raised RecursionError from sigma(249) and
+    crosscap(497) on.  sigma(256) and crosscap(512) have 4,096 triangles."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        built = [(sigma.__wrapped__(256), -510), (crosscap_sum.__wrapped__(512), -510)]
+    finally:
+        sys.setrecursionlimit(limit)
+    for info, chi in built:
+        assert info.complex.count(2) == 4096
+        assert info.complex.euler_characteristic() == chi
+        assert info.xi().base == info.complex
 
 
 def test_json_round_trip_bit_exact():
