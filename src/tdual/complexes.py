@@ -269,13 +269,33 @@ def z2_rescaling(base: DeltaComplex, a: System, b: System) -> Optional[tuple[int
     """A vertex function u mod 2 with u(tail) + u(head) = 1 exactly on the
     edges where the signs of a and b differ, so that rescaling by (-1)^u
     turns a into b; None when a and b define different classes in
-    H^1(X, Z/2)."""
-    diff = [(0 if _sign(a, e) == _sign(b, e) else 1) for e in range(base.count(1))]
-    rows = [Counter(base.simplex(1, e)) for e in range(base.count(1))]
-    try:
-        return solve_mod(IntMatrix.from_nonzeros(rows, base.vertex_count), diff, 2)
-    except NoSolution:
-        return None
+    H^1(X, Z/2).
+
+    A breadth-first parity labelling of the edge-vertex incidence: each
+    component starts from its highest-index vertex with u = 0, the free
+    variable the mod-2 solve of u(tail) + u(head) = diff sets to zero, so
+    u is the one that solve returns.  An edge whose labels disagree with
+    its sign difference closes an odd cycle, and there is no u."""
+    nbrs = [[] for _ in range(base.vertex_count)]
+    for e in range(base.count(1)):
+        tail, head = base.simplex(1, e)
+        diff = 0 if _sign(a, e) == _sign(b, e) else 1
+        nbrs[tail].append((head, diff))
+        nbrs[head].append((tail, diff))
+    u = [None] * base.vertex_count
+    for root in reversed(range(base.vertex_count)):
+        if u[root] is not None:
+            continue
+        u[root] = 0
+        queue = [root]
+        for v in queue:  # grows while it is walked
+            for w, diff in nbrs[v]:
+                if u[w] is None:
+                    u[w] = u[v] ^ diff
+                    queue.append(w)
+                elif u[w] != u[v] ^ diff:
+                    return None
+    return tuple(u)
 
 
 # ---------------------------------------------------------------------------

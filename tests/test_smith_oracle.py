@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from dense_reference import DenseSmith, dense_mul
 from tdual import catalog, exactalg
 from tdual.bundles import TotalComplex
-from tdual.complexes import coboundary_matrix, z2_rescaling
+from tdual.complexes import DeltaComplex, LocalSystem, coboundary_matrix, z2_rescaling
 from tdual.exactalg import (
     IntMatrix,
     NoSolution,
@@ -239,6 +239,44 @@ def test_z2_rescaling_matches_integer_path(kind, params):
                     for e in range(x.count(1))]
             expected = integer_mod_two(a, diff)
             assert z2_rescaling(x, s1, s2) == (None if expected is NoSolution else expected)
+
+
+def rescaled(system, x, flips):
+    """system times the coboundary of the vertex function with u = 1 on
+    ``flips``: the same class in H^1(X, Z/2)."""
+    return LocalSystem(x, tuple((system.sign(e) if system else 1)
+                                * (-1) ** sum(v in flips for v in x.simplex(1, e))
+                                for e in range(x.count(1))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG), st.integers(0, 10 ** 6))
+def test_z2_rescaling_is_the_gf2_solution_on_catalog_systems(space, seed):
+    """The parity labelling returns the u of the GF(2) solve, or None where
+    it has none, on the catalog's sign systems rescaled at random."""
+    info = catalog.space(space[0], **space[1])
+    x = info.complex
+    rng = random.Random(seed)
+    systems = [None, info.orientation_system(), info.xi()]
+    systems += [info.xi(frozenset({label})) for label, _ in info.label_edges]
+    s1 = rng.choice(systems)
+    s2 = rescaled(rng.choice(systems), x, {v for v in range(x.vertex_count) if rng.random() < 0.5})
+    diff = [int((s1.sign(e) if s1 else 1) != s2.sign(e)) for e in range(x.count(1))]
+    expected = gf2_outcome(edge_vertex_matrix(x), diff)
+    assert z2_rescaling(x, s1, s2) == (None if expected is NoSolution else expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12),
+       st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11), st.booleans()), max_size=24))
+def test_z2_rescaling_is_the_gf2_solution_on_graphs(n, edges):
+    """The same on graphs with loops, repeated edges, isolated vertices and
+    several components, where any edge signs form a sign system."""
+    edges = [(t % n, h % n, odd) for t, h, odd in edges]
+    x = DeltaComplex(n, (tuple((t, h) for t, h, _ in edges),))
+    odd = LocalSystem(x, tuple(-1 if o else 1 for _, _, o in edges))
+    expected = gf2_outcome(edge_vertex_matrix(x), [int(o) for _, _, o in edges])
+    assert z2_rescaling(x, None, odd) == (None if expected is NoSolution else expected)
 
 
 def test_one_factorization_serves_snf_kernel_and_solve():

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from tdual.bundles import BundleDescriptor, TotalComplex, gauge_action, same_bundle
+from tdual import tduality
+from tdual.bundles import BundleDescriptor, TotalComplex, same_bundle
 from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, klein_bottle, sigma
 from tdual.cli import main
-from tdual.complexes import LocalSystem, TwistedCochain, cohomology
+from tdual.complexes import LocalSystem, coboundary_matrix, cohomology
 from tdual.exactalg import FGAbelianGroup as FG
 from tdual.exactalg import IntMatrix, homology_at
 from tdual.ktheory import TwistClass, ahss_k_groups, resolve_by_tduality
@@ -110,17 +111,44 @@ def test_verify_rejects_wrong_flux():
     assert not rep.ok
 
 
-def test_gauge_shifted_dual_still_verifies():
+def shift_in_class(values, xi, rng):
+    """values + delta(u) for a random nonzero xi-twisted 1-cochain u whose
+    coboundary is nonzero."""
+    d1 = coboundary_matrix(xi.base, 1, xi)
+    while True:
+        step = d1.mul_vec([rng.randint(-2, 2) for _ in range(d1.cols)])
+        if any(step):
+            return tuple(v + s for v, s in zip(values, step))
+
+
+def test_gauge_shifted_dual_still_verifies(monkeypatch):
     info = sigma(2)
-    p = pair_for(info, 0, 1)
+    xi = info.xi()
+    p = pair_for(info, 1, 1)
     dual, _ = construct_tdual(p)
-    h1x = cohomology(info.complex, info.xi())[1]
-    alpha = TwistedCochain(info.complex, 1, h1x.representatives[0], info.xi())
-    shifted_cochain = gauge_action(dual.total_cochain(), alpha)
-    shifted = FluxPair(dual.bundle, shifted_cochain.alpha, shifted_cochain.beta)
+    rng = random.Random(2)
+    # the dual with ehat and fhat moved inside their classes: verify's
+    # push-forward solves give nonzero a and b, and their witness B must
+    # hold without a solve on the correspondence complex
+    shifted = FluxPair(BundleDescriptor(info.complex, xi, shift_in_class(dual.bundle.euler, xi, rng)),
+                       (), shift_in_class(dual.fhat, xi, rng))
+    assert shifted.bundle.euler != dual.bundle.euler and shifted.fhat != dual.fhat
+    corr_delta = CorrespondenceComplex(p.bundle, shifted.bundle).delta_matrix(2)
+    solved = []
+    solve = tduality.solve_integer
+    monkeypatch.setattr(tduality, "solve_integer", lambda a, b: solved.append(a) or solve(a, b))
     assert verify_tduality(p, shifted).ok
-    eq, witness = duals_equivalent(dual, shifted)
-    assert eq and witness is not None
+    assert solved and corr_delta not in solved
+    # the round-trip flux moved by the coboundary of a nonzero total 2-cochain
+    ddual, _ = construct_tdual(dual)
+    model = TotalComplex(ddual.bundle)
+    x = [rng.randint(-2, 2) for _ in range(model.count(2))]
+    step = model.coboundary(model.from_vector(2, x)).beta
+    moved = FluxPair(ddual.bundle, (), tuple(a + b for a, b in zip(ddual.fhat, step)))
+    assert moved != p
+    eq, witness = duals_equivalent(p, moved)
+    assert eq and witness is not None and witness.is_zero()
+    assert not duals_equivalent(p, pair_for(info, 1, 0))[0]
 
 
 def regauged(q, seed=1):
