@@ -11,6 +11,8 @@ Smith factorization follow: the coboundary and cup matrices of the models
 are well below 1 % dense.  ``IntMatrix.data`` is a dense view for tests.
 The factorization takes the +-1 pivots first, sparsest column first
 (Dumas, Saunders, Villard, JSC 32 (2001)), then the small core left over.
+A block-triangular matrix from ``block_matrix`` (a cone, D_even) starts
+instead from its diagonal blocks' cached factorizations.
 
 All values are immutable; functions are pure and safe to share between
 threads.
@@ -47,21 +49,23 @@ class IntMatrix:
     compare and hash equal however built.  ``data``, the dense rows, is
     built on first read and kept: a view for tests and dense oracles."""
 
-    __slots__ = ("rows", "cols", "nonzeros", "_hash", "_data")
+    __slots__ = ("rows", "cols", "nonzeros", "_hash", "_data", "_blocks", "_layout")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence[int]]):
         if len(data) != rows:
             raise ValueError("row count mismatch")
         if any(len(r) != cols for r in data):
             raise ValueError("column count mismatch")
-        self.rows, self.cols, self._hash, self._data = rows, cols, None, None
-        self.nonzeros = tuple([tuple(zip(compress(range(cols), r), filter(None, r))) for r in data])
+        self.rows, self.cols = rows, cols
+        self._hash = self._data = self._blocks = self._layout = None
+        self.nonzeros = tuple([tuple(_pairs(r)) for r in data])
 
     @staticmethod
     def _of(rows: int, cols: int, nonzeros: tuple) -> "IntMatrix":
         """The matrix of rows of (column, value) pairs already in form."""
         m = object.__new__(IntMatrix)
-        m.rows, m.cols, m.nonzeros, m._hash, m._data = rows, cols, nonzeros, None, None
+        m.rows, m.cols, m.nonzeros = rows, cols, nonzeros
+        m._hash = m._data = m._blocks = m._layout = None
         return m
 
     def __eq__(self, other) -> bool:
@@ -81,7 +85,11 @@ class IntMatrix:
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
         if self._data is None:
-            self._data = tuple(map(tuple, _dense(self.nonzeros, self.cols)))
+            rows = [[0] * self.cols for _ in self.nonzeros]
+            for row, r in zip(rows, self.nonzeros):
+                for j, x in r:
+                    row[j] = x
+            self._data = tuple(map(tuple, rows))
         return self._data
 
     @staticmethod
@@ -168,7 +176,14 @@ def vstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
 
 
 def block_matrix(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
-    return vstack([hstack(row) for row in grid])
+    """The matrix of a grid of blocks.  Of a 2 x 2 grid [[A, C], [0, B]] or
+    [[A, 0], [C, B]] it records A, B and the layout (C below A or not, A's
+    shape, A's and B's layouts), and ``_Smith`` starts from A's and B's."""
+    out = vstack([hstack(row) for row in grid])
+    if [len(row) for row in grid] == [2, 2] and (grid[0][1].is_zero() or grid[1][0].is_zero()):
+        (a, _), (c, b) = grid
+        out._blocks, out._layout = (a, b), (not c.is_zero(), a.rows, a.cols, a._layout, b._layout)
+    return out
 
 
 def determinant(a: IntMatrix) -> int:
@@ -214,6 +229,12 @@ class _Smith:
     TAOCP vol. 2, 4.5.3).  D is unique; L, R and the generators read off
     them follow the pivot order.
 
+    A block-triangular matrix that ``block_matrix`` records (a cone,
+    D_even) starts instead from its diagonal blocks' cached factorizations
+    (``_seeded``; Kaczynski, Mischaikow, Mrozek, *Computational Homology*,
+    ch. 3-4): a +-1 of theirs is alone in one of its lines and only the
+    off-diagonal block meets the other, so it clears without fill.
+
     The elimination is sparse: it does work in proportion to the nonzeros
     it touches, not to the size of the matrix or the remaining block.
 
@@ -221,35 +242,40 @@ class _Smith:
       is the set of rows with a nonzero in column j of A, kept in step
       with every row operation: the rows to clear under a pivot in column
       j are ``rows_of[j]``.
-    - Everything runs in the input's frame: no row or column moves while
-      pivots are taken.  A pivot's row and column are zero but for it once
-      it is taken, so the active rows, those not yet pivoted, are zero in
-      the pivot columns and whole rows can be scanned.  ``_place`` then
-      moves pivot k to diagonal position k and makes it positive, so each
-      log holds every swap and negation after every addition.
+    - Everything runs in the input's frame (a seeded one's, after its
+      blocks' logs): no row or column moves while pivots are taken.  A
+      pivot's row and column are zero but for it once it is taken, so the
+      active rows, those not yet pivoted, are zero in the pivot columns
+      and whole rows can be scanned.  ``_place`` then moves pivot k to
+      diagonal position k and makes it positive, so each log holds every
+      swap and negation after every addition it adds.
     - A unit pivot divides every entry, so the divisibility pass is
       vacuous and skipped.
     - The elimination touches A only.  Its row and column operations are
       appended to a row log and a column log, the only record of L and R,
-      and ``_apply`` multiplies a batch of vectors by L, R or their
+      and ``_apply`` multiplies a batch of sparse vectors by L, R or their
       inverses in one pass.  Only ``diag``, the input and the two logs are
       kept, so all reads share one factorization, in any order.
     - As A R = Linv D, column i < rank of Linv is A R e_i / d_i (d_i > 0).
-      One pass of the column log over the rows of A gives the rows of A R;
-      only the other columns go through the row log, several times longer
-      than the column log on dense input.
+      One pass of the column log over the rows of A gives the columns of
+      A R; only the other columns go through the row log, several times
+      longer than the column log on dense input.
     """
 
     def __init__(self, a: IntMatrix):
         self._a = a
         self.shape = m, n = a.rows, a.cols
         row_log, col_log = [], []  # (i, j, c) triples, packed by _pack
-        A = [dict(row) for row in a.nonzeros]
+        A, units = (_seeded(a, row_log, col_log) if a._layout
+                    else ([dict(row) for row in a.nonzeros], []))
         rows_of = [set() for _ in range(n)]
         for i, row in enumerate(A):
             for j in row:
                 rows_of[j].add(i)
-        pivots = _unit_pivots(A, rows_of, row_log, col_log)
+        for i, j in units:  # the blocks' +-1 pivots: only C' can meet their lines
+            if len(A[i]) > 1 or len(rows_of[j]) > 1:
+                _eliminate(A, rows_of, i, j, row_log, col_log)
+        pivots = _unit_pivots(A, rows_of, row_log, col_log, units)
         done = {i for i, _ in pivots}
         active = [i for i, row in enumerate(A) if row and i not in done]
         while (found := _find_pivot(A, active)) is not None:
@@ -277,52 +303,82 @@ class _Smith:
 
     def u_matrix(self) -> IntMatrix:
         """Linv, with A = Linv * D * Rinv: column i < rank is column i of
-        A R over d_i, whose rows R^T a_k, a_k the rows of A, take one pass
-        of the column log; the others are Linv e_i through the row log."""
+        A R over d_i, from one pass of the column log over the rows of A;
+        the others are Linv e_i through the row log."""
         (m, n), r = self.shape, self.rank
-        a_r = _apply(self._col_log, n, _dense(self._a.nonzeros, n), False, False)
-        image = [[row[i] // d for row in a_r] for i, d in enumerate(self.diag[:r])]
-        return _columns(image + _apply(self._row_log, m, _units(range(r, m), m), False, True), m)
+        a_r = _apply(self._col_log, n, self._a.nonzeros, False, False)  # line i: column i of A R
+        image = IntMatrix.from_nonzeros([{k: x // d for k, x in line.items()}
+                                         for line, d in zip(a_r, self.diag[:r])], m).transpose()
+        rest = _apply(self._row_log, m, _units(range(r, m)), False, True)
+        return hstack([image, IntMatrix.from_nonzeros(rest, m - r)])
 
     def v_matrix(self) -> IntMatrix:
         """Rinv, with A = Linv * D * Rinv."""
         n = self.shape[1]
-        return _columns(_apply(self._col_log, n, _units(range(n), n), True, True), n)
+        return IntMatrix.from_nonzeros(_apply(self._col_log, n, _units(range(n)), True, True), n)
 
     def l_matrix(self) -> IntMatrix:
         m = self.shape[0]
-        return _columns(self.left(_units(range(m), m)), m)
+        return IntMatrix.from_nonzeros(_apply(self._row_log, m, _units(range(m)), False, False), m)
 
-    def left(self, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        """L v for each v in ``vectors``."""
-        return _apply(self._row_log, self.shape[0], vectors, False, False)
+    def left(self, vectors: Sequence) -> list[tuple[int, ...]]:
+        """L v, dense, for each v in ``vectors`` given as (index, value) pairs."""
+        return _vectors(_apply(self._row_log, self.shape[0], vectors, False, False), len(vectors))
 
-    def right(self, vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        """R v for each v in ``vectors``."""
-        return _apply(self._col_log, self.shape[1], vectors, True, False)
+    def right(self, vectors: Sequence) -> list[tuple[int, ...]]:
+        """R v, dense, for each v in ``vectors`` given as (index, value) pairs."""
+        return _vectors(_apply(self._col_log, self.shape[1], vectors, True, False), len(vectors))
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...]:
         """One integer solution of A x = b, free parameters set to zero."""
-        m, n = self.shape
-        if len(b) != m:
+        if len(b) != self.shape[0]:
             raise ValueError("rhs length mismatch")
-        c, = self.left([b])
+        c, = self.left([_pairs(b)])
         factors = self.diag[:self.rank]  # the nonzero diagonal comes first
         if any(y % d for y, d in zip(c, factors)):
             raise NoSolution("divisibility obstruction")
         if any(c[self.rank:]):
             raise NoSolution("inconsistent row in diagonalized system")
-        x, = self.right([[y // d for y, d in zip(c, factors)] + [0] * (n - self.rank)])
+        x, = self.right([[(i, y // d) for i, (y, d) in enumerate(zip(c, factors)) if y]])
         return x
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """Basis of the integer kernel lattice of A."""
-        n = self.shape[1]
-        return self.right(_units(range(self.rank, n), n))
+        return self.right(_units(range(self.rank, self.shape[1])))
 
 
-def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequence[int]],
-           columns: bool, inverse: bool) -> list[tuple[int, ...]]:
+def _seeded(a: IntMatrix, row_log: list, col_log: list) -> tuple[list[dict], list]:
+    """The rows of L0 a R0 for a matrix ``block_matrix`` recorded, and the
+    (row, column) of their diagonal +-1s; L0 and R0 are block diagonal with
+    the blocks' cached L and R, whose logs, shifted, head a's.  That is
+    [[D_A, L_A C R_B], [0, D_B]] for a = [[A, C], [0, B]] and [[D_A, 0],
+    [L_B C R_A, D_B]] for [[A, 0], [C, B]]: C's rows go through R's log,
+    then the columns of C R through L's, never dense.  A +-1 of D_A or D_B
+    is alone in one of its lines and only C' meets the other, so
+    ``_eliminate`` clears it without fill."""
+    (lower, m0, n0, _, _), (top, bottom) = a._layout, a._blocks
+    s_top, s_bottom = _smith(top), _smith(bottom)
+    for log, k, (ii, jj, cs) in ((row_log, 0, s_top._row_log), (row_log, m0, s_bottom._row_log),
+                                 (col_log, 0, s_top._col_log), (col_log, n0, s_bottom._col_log)):
+        log += chain.from_iterable(zip(map(k.__add__, ii), map(k.__add__, jj), cs))
+    # C = a[m0:, :n0] on B's rows and A's columns, or a[:m0, n0:] on A's rows and B's
+    of_rows, of_cols, i0, j0 = (s_bottom, s_top, m0, 0) if lower else (s_top, s_bottom, 0, n0)
+    c = [[(j - j0, x) for j, x in row if (j < n0) == lower]
+         for row in a.nonzeros[i0:i0 + of_rows.shape[0]]]
+    c_r = _apply(of_cols._col_log, of_cols.shape[1], c, False, False)  # line j: column j of C R
+    l_c_r = _apply(of_rows._row_log, of_rows.shape[0], [line.items() for line in c_r], False, False)
+    A = [{} for _ in range(a.rows)]
+    for i, line in enumerate(l_c_r):
+        A[i0 + i] = {j0 + j: x for j, x in line.items()}
+    diagonal = [(p + k, q + k, d) for s, p, q in ((s_top, 0, 0), (s_bottom, m0, n0))
+                for k, d in enumerate(s.diag[:s.rank])]
+    for i, j, d in diagonal:
+        A[i][j] = d
+    return A, [(i, j) for i, j, d in diagonal if d == 1]
+
+
+def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence,
+           columns: bool, inverse: bool) -> list[dict]:
     """The product of the n x n elementary operations in ``log``, or of
     their inverse, with each of ``vectors``, in one pass over the log.
 
@@ -337,12 +393,14 @@ def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequen
     - R^-1 v (both): the column log in order, line j -= c line i;
     - R^T v: a column log read with ``columns`` False: in order, line i += c line j.
 
-    Line i holds coordinate i of every vector, as a dict over the vectors
-    where it is nonzero, so each operation costs the nonzeros of its
-    source line in the whole batch; an empty batch reads no log.
+    Vectors are read as (index, value) pairs; the products come back as n
+    lines, line i holding coordinate i of each, as a dict over those where
+    it is nonzero.  An operation costs its source line's nonzeros in the
+    batch, and an empty batch reads no log.
     """
+    lines = [{} for _ in range(n)]
     if not vectors:
-        return []
+        return lines
     ii, jj, cs = log
     if columns:
         ii, jj = jj, ii
@@ -350,10 +408,9 @@ def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequen
         cs = [-c for c in cs]
     if columns != inverse:
         ii, jj, cs = reversed(ii), reversed(jj), reversed(cs)
-    lines = [{} for _ in range(n)]
     for k, v in enumerate(vectors):
-        for i in compress(range(n), v):
-            lines[i][k] = v[i]
+        for i, x in v:
+            lines[i][k] = x
     for i, j, c in zip(ii, jj, cs):
         if c:
             src = lines[j]
@@ -371,7 +428,12 @@ def _apply(log: tuple[array, array, list[int]], n: int, vectors: Sequence[Sequen
                 line[k] = -line[k]
         else:
             lines[i], lines[j] = lines[j], lines[i]
-    out = [[0] * n for _ in range(len(vectors))]
+    return lines
+
+
+def _vectors(lines: Sequence[dict], count: int) -> list[tuple[int, ...]]:
+    """The ``count`` products whose lines ``_apply`` returned, dense."""
+    out = [[0] * len(lines) for _ in range(count)]
     for i, line in enumerate(lines):
         for k, x in line.items():
             out[k][i] = x
@@ -414,27 +476,14 @@ def _combine(pairs, vectors: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
-def _columns(vectors: Sequence[Sequence[int]], n: int) -> IntMatrix:
-    """The n-row matrix whose columns are ``vectors``."""
-    rows = [[] for _ in range(n)]
-    for k, v in enumerate(vectors):
-        for i in compress(range(n), v):
-            rows[i].append((k, v[i]))
-    return IntMatrix._of(n, len(vectors), tuple(map(tuple, rows)))
+def _pairs(v: Sequence[int]):
+    """The nonzeros of a dense vector as (index, value) pairs."""
+    return zip(compress(range(len(v)), v), filter(None, v))
 
 
-def _dense(nonzeros: Sequence[Sequence[tuple[int, int]]], n: int) -> list[list[int]]:
-    """The length-n dense lists of rows given as (column, value) pairs."""
-    out = [[0] * n for _ in nonzeros]
-    for row, r in zip(out, nonzeros):
-        for j, x in r:
-            row[j] = x
-    return out
-
-
-def _units(indices, n: int) -> list[list[int]]:
-    """The unit vectors e_i of length n, i in ``indices``."""
-    return [[0] * i + [1] + [0] * (n - 1 - i) for i in indices]
+def _units(indices) -> list[tuple[tuple[int, int]]]:
+    """The unit vectors e_i, i in ``indices``, as (index, value) pairs."""
+    return [((i, 1),) for i in indices]
 
 
 def _eliminate(A: list[dict], rows_of: list[set], i: int, j: int,
@@ -466,9 +515,10 @@ def _eliminate(A: list[dict], rows_of: list[set], i: int, j: int,
     return len(row) == 1
 
 
-def _unit_pivots(A: list[dict], rows_of: list[set], row_log: list, col_log: list) -> list:
-    """Eliminate the +-1 pivots of A by ``_eliminate``; return their
-    (row, column) in the order taken.
+def _unit_pivots(A: list[dict], rows_of: list[set], row_log: list, col_log: list,
+                 pivots: list) -> list:
+    """Eliminate the +-1 pivots of A outside the columns of ``pivots`` by
+    ``_eliminate``; return ``pivots`` with theirs appended in order taken.
 
     A lazy heap of (rows in column j, j) pops the column with fewest rows;
     its pivot is the +-1 in the row with fewest nonzeros, ties to the lower
@@ -478,9 +528,9 @@ def _unit_pivots(A: list[dict], rows_of: list[set], row_log: list, col_log: list
     row holding a +-1 contracts vertices into hubs.  Nothing moves: each
     pivot stays at its place in the input, and its sign is kept.
     """
-    heap = [(len(rows), j) for j, rows in enumerate(rows_of) if rows]
+    done = {j for _, j in pivots}
+    heap = [(len(rows), j) for j, rows in enumerate(rows_of) if rows and j not in done]
     heapify(heap)
-    pivots, done = [], set()
     while heap:
         count, j = heappop(heap)
         col = rows_of[j]
@@ -538,15 +588,21 @@ def _place(A: list[dict], pivots: Sequence[tuple[int, int]], m: int, n: int,
     return tuple(abs(A[i][j]) for i, j in pivots) + (0,) * (min(m, n) - len(pivots))
 
 
+def _smith(a: IntMatrix) -> _Smith:
+    """The cached factorization of ``a``, keyed on its block layout too: it
+    cannot depend on which of two equal matrices reached the cache first."""
+    return _smith_cached(a, a._layout)
+
+
 @lru_cache(maxsize=4096)
-def _smith_cached(a: IntMatrix) -> _Smith:
+def _smith_cached(a: IntMatrix, layout: Optional[tuple]) -> _Smith:
     return _Smith(a)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with A = U*D*V, U and V unimodular, D diagonal
     with non-negative entries in a divisibility chain."""
-    s = _smith_cached(a)
+    s = _smith(a)
     return s.u_matrix(), s.d_matrix(), s.v_matrix()
 
 
@@ -554,12 +610,12 @@ def solve_integer(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...]:
     """Some integer x with A x = b.  Raises NoSolution if b is not in the
     image of A over the integers.  Deterministic: free parameters are zero
     after the Smith substitution."""
-    return _smith_cached(a).solve(b)
+    return _smith(a).solve(b)
 
 
 def kernel_basis(a: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the lattice of integer solutions of A x = 0."""
-    return _smith_cached(a).kernel_columns()
+    return _smith(a).kernel_columns()
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +682,7 @@ class PresentedGroup:
 
 def normal_form(g: PresentedGroup) -> FGAbelianGroup:
     """Cokernel of the relation matrix in invariant-factor form."""
-    s = _smith_cached(g.relations)
+    s = _smith(g.relations)
     return FGAbelianGroup(g.ambient_rank - s.rank, tuple(d for d in s.diag if d > 1))
 
 
@@ -707,7 +763,7 @@ def homology_at(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     ``representatives``, ``class_of`` or ``coordinates`` is first read.
     """
     _check_composes(d_in, d_out)
-    return GroupData.deferred(_group(d_in.rows, _smith_cached(d_in), _smith_cached(d_out)),
+    return GroupData.deferred(_group(d_in.rows, _smith(d_in), _smith(d_out)),
                               lambda: _generators(d_in, d_out))
 
 
@@ -721,7 +777,7 @@ def homology_at_transpose(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
     factored only when generators are first asked for.
     """
     _check_composes(d_in, d_out)
-    return GroupData.deferred(_group(d_out.cols, _smith_cached(d_out), _smith_cached(d_in)),
+    return GroupData.deferred(_group(d_out.cols, _smith(d_out), _smith(d_in)),
                               lambda: homology_at(d_out.transpose(), d_in.transpose()))
 
 
@@ -757,17 +813,18 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
       coordinates (L_N y[r:])[:f].
     """
     n_mid = d_in.rows
-    s_in = _smith_cached(d_in)
+    s_in = _smith(d_in)
     r = s_in.rank
     tors = [(i, d) for i, d in enumerate(s_in.diag[:r]) if d > 1]
     units = [tuple(v // d for v in d_in.mul_vec(col))
-             for (_, d), col in zip(tors, s_in.right(_units([i for i, _ in tors], d_in.cols)))]
-    kernel = _smith_cached(d_out).kernel_columns()
-    l_kernel = s_in.left(kernel)
-    s_free = _Smith(_columns([lk[r:] for lk in l_kernel], n_mid - r))
+             for (_, d), col in zip(tors, s_in.right(_units([i for i, _ in tors])))]
+    kernel = _smith(d_out).kernel_columns()
+    lines = _apply(s_in._row_log, n_mid, [_pairs(k) for k in kernel], False, False)  # L K
+    l_kernel = _vectors(lines, len(kernel))
+    s_free = _Smith(IntMatrix.from_nonzeros(lines[r:], len(kernel)))
     f = s_free.rank
     reps = []
-    for col in s_free.right(_units(range(f), len(kernel))):
+    for col in s_free.right(_units(range(f))):
         rep, l_rep = _combine(enumerate(col), kernel, n_mid), _combine(enumerate(col), l_kernel, r)
         reps.append(tuple(_combine(enumerate([1] + [-l_rep[i] for i, _ in tors]),
                                    [rep] + units, n_mid)))
@@ -777,8 +834,8 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
             raise ValueError("cycle has wrong length")
         if any(d_out.mul_vec(cycle)):
             raise ValueError("not a cycle")
-        y, = s_in.left([cycle])
-        return tuple(s_free.left([y[r:]])[0][:f]) + tuple(y[i] % d for i, d in tors)
+        y, = s_in.left([_pairs(cycle)])
+        return tuple(s_free.left([_pairs(y[r:])])[0][:f]) + tuple(y[i] % d for i, d in tors)
 
     group = FGAbelianGroup(f, tuple(d for _, d in tors))
     return GroupData(group, tuple(reps) + tuple(units), class_of)
@@ -799,11 +856,11 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
     if m < 2:
         raise ValueError("modulus must be >= 2")
     integral = homology_at(d_in, d_out)
-    s_out, n_mid, h = _smith_cached(d_out), d_in.rows, integral.group
+    s_out, n_mid, h = _smith(d_out), d_in.rows, integral.group
     factors = s_out.diag[:s_out.rank]
     tor = [(i, g) for i, d in enumerate(factors) if (g := gcd(d, m)) > 1]
     orders = [m] * h.free_rank + [gcd(d, m) for d in h.torsion] + [g for _, g in tor]
-    s = _smith_cached(IntMatrix.from_nonzeros([{i: o} for i, o in enumerate(orders)], len(orders)))
+    s = _smith(IntMatrix.from_nonzeros([{i: o} for i, o in enumerate(orders)], len(orders)))
     units = s.diag.count(1)
     group = FGAbelianGroup(0, s.diag[units:])
 
@@ -811,14 +868,14 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
         image = d_out.mul_vec(cycle)  # raises ValueError on a wrong length
         if any(v % m for v in image):
             raise ValueError("not a cycle")
-        w, = s_out.left([[v // m for v in image]])
-        y, = s_out.right([[m * x // d for x, d in zip(w, factors)] + [0] * (n_mid - len(factors))])
+        w, = s_out.left([_pairs([v // m for v in image])])
+        y, = s_out.right([_pairs([m * x // d for x, d in zip(w, factors)])])
         c = integral.class_of([a - b for a, b in zip(cycle, y)]) + tuple(w[i] * g // factors[i]
                                                                            for i, g in tor)
-        return tuple(x % d for x, d in zip(s.left([c])[0][units:], group.torsion))
+        return tuple(x % d for x, d in zip(s.left([_pairs(c)])[0][units:], group.torsion))
 
     def build() -> GroupData:
-        tor_gens = s_out.right(_units([i for i, _ in tor], n_mid))
+        tor_gens = s_out.right(_units([i for i, _ in tor]))
         gens = list(integral.representatives) + [[m // g * v for v in col]
                                                  for (_, g), col in zip(tor, tor_gens)]
         return GroupData(group, [tuple(_combine(col, gens, n_mid))
@@ -828,7 +885,7 @@ def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:
 
 
 def rank_of(a: IntMatrix) -> int:
-    return _smith_cached(a).rank
+    return _smith(a).rank
 
 
 def solve_mod(a: IntMatrix, b: Sequence[int], m: int) -> tuple[int, ...]:

@@ -3,12 +3,12 @@ K-groups, and diff everything against the reference tables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from .bundles import total_cohomology, total_duality_report, total_homology, same_bundle
 from .catalog import SpaceInfo, build_bundle, build_flux, space
-from .complexes import cohomology
+from .complexes import LocalSystem, coboundary_matrix, cohomology
 from .fixtures import (
     Fixture,
     all_fixtures,
@@ -182,6 +182,11 @@ class PipelineReport:
         return "\n".join(lines)
 
 
+def _euler_shift(xi: LocalSystem) -> tuple[int, ...]:
+    """delta u for u = 1 on every edge: three terms +-1 on each triangle, so never 0 there."""
+    return coboundary_matrix(xi.base, 1, xi).mul_vec((1,) * xi.base.count(1))
+
+
 def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0) -> PipelineReport:
     """Full run for one (space, bundle, flux) cell."""
     info = _space_for(kind, param)
@@ -200,7 +205,9 @@ def run_pipeline(kind: str, param: int = 0, j: int = 0, k: int = 0) -> PipelineR
 
     dual, _ = construct_tdual(pair)
     axioms = verify_tduality(pair, dual)
-    ddual, _ = construct_tdual(dual)
+    # re-dualized with its Euler cocycle moved by delta u: a flux fhat + delta u
+    moved = tuple(a + b for a, b in zip(dual.bundle.euler, _euler_shift(xi)))
+    ddual, _ = construct_tdual(replace(dual, bundle=replace(dual.bundle, euler=moved)))
     round_trip = same_bundle(ddual.bundle, bundle) and duals_equivalent(pair, ddual)[0]
 
     kg_plain, _ = _resolved_k_groups(kind, param, j, k, False)

@@ -179,7 +179,13 @@ class CorrespondenceComplex:
         return _corr_delta(self.e_bundle, self.ehat_bundle, k)
 
     def coboundary(self, x: CorrCochain) -> CorrCochain:
-        return self.from_vector(x.degree + 1, self.delta_matrix(x.degree).mul_vec(x.vector()))
+        """delta x from the total models' cached deltas and the cup with ehat, block by block."""
+        k, xi, ehat = x.degree, self.xi, self.ehat_bundle.euler_cochain()
+        t = TotalComplex(self.e_bundle).delta_matrix(k).mul_vec(x.alpha + x.beta)
+        cup = (cup_matrix_left(ehat, k - 1, xi).mul_vec(x.gamma)
+               + cup_matrix_left(ehat, k - 2, None).mul_vec(x.rho))
+        s = TotalComplex(self.e_bundle, xi).delta_matrix(k - 1).mul_vec(x.gamma + x.rho)
+        return self.from_vector(k + 1, [a + (-1) ** k * c for a, c in zip(t, cup)] + list(s))
 
     # structure maps ---------------------------------------------------------
 

@@ -6,6 +6,9 @@ need not: the kernel eliminates its +-1 pivots first, in another order
 than the reference's minimal-entry rule, so L, R, U and V are checked as
 a factorization (L A R = D, U L = I, V R = I, U D V = A), the kernel
 basis as the same lattice, and each solve by its outcome and A x = b.
+A block-triangular matrix built by ``block_matrix`` is factored from its
+diagonal blocks' Smith forms; its D and rank must also equal those of the
+same entries factored from scratch.
 """
 
 import random
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import DenseSmith, dense_mul
-from tdual import catalog, exactalg
+from tdual import bundles, catalog, complexes, exactalg, ktheory, pipeline, tduality
 from tdual.bundles import TotalComplex
 from tdual.complexes import DeltaComplex, LocalSystem, coboundary_matrix, z2_rescaling
 from tdual.exactalg import (
@@ -23,6 +26,7 @@ from tdual.exactalg import (
     NoSolution,
     _Smith,
     _smith_cached,
+    block_matrix,
     homology_at,
     homology_at_transpose,
     hstack,
@@ -32,6 +36,7 @@ from tdual.exactalg import (
     solve_integer,
     solve_mod,
 )
+from tdual.tduality import CorrespondenceComplex, SmallTwistedComplex
 
 
 def sparse_unit_matrix(rng, rows, cols, density=0.03):
@@ -99,13 +104,14 @@ def right_hand_sides(rng, a):
 def r_matrix(smith):
     """R, the product of the column log, as columns R e_j."""
     n = smith.shape[1]
-    return exactalg._columns(smith.right(exactalg._units(range(n), n)), n)
+    return IntMatrix.from_nonzeros(
+        exactalg._apply(smith._col_log, n, exactalg._units(range(n)), True, False), n)
 
 
 def spans(basis, vectors, n):
     """Every vector is an integer combination of ``basis`` (length-n
     columns), solved by the dense reference."""
-    ref = DenseSmith(exactalg._columns(basis, n))
+    ref = DenseSmith(IntMatrix(n, len(basis), tuple(tuple(v[i] for v in basis) for i in range(n))))
     return all(outcome(ref, v) is not NoSolution for v in vectors)
 
 
@@ -301,7 +307,7 @@ def test_equal_matrices_hash_equal_and_share_one_factorization():
     a, b = IntMatrix.from_rows(rows), IntMatrix(2, 3, tuple(map(tuple, rows)))
     assert a is not b and a == b and hash(a) == hash(b) == hash(a)
     _smith_cached.cache_clear()
-    assert _smith_cached(a) is _smith_cached(b)
+    assert exactalg._smith(a) is exactalg._smith(b)
     assert _smith_cached.cache_info().misses == 1
 
 
@@ -355,11 +361,15 @@ def test_log_applier_matches_dense_transforms(case):
     assert l.mul(a).mul(r) == DenseSmith(a).d_matrix()
     assert u.mul(l) == IntMatrix.identity(m) and v.mul(r) == IntMatrix.identity(n)
     for batch in left_batches:
-        assert s.left(batch) == [l.mul_vec(x) for x in batch]
-        assert exactalg._apply(s._row_log, m, batch, False, True) == [u.mul_vec(x) for x in batch]
+        pairs = [list(exactalg._pairs(x)) for x in batch]
+        assert s.left(pairs) == [l.mul_vec(x) for x in batch]
+        inverse = exactalg._apply(s._row_log, m, pairs, False, True)
+        assert exactalg._vectors(inverse, len(batch)) == [u.mul_vec(x) for x in batch]
     for batch in right_batches:
-        assert s.right(batch) == [r.mul_vec(x) for x in batch]
-        assert exactalg._apply(s._col_log, n, batch, True, True) == [v.mul_vec(x) for x in batch]
+        pairs = [list(exactalg._pairs(x)) for x in batch]
+        assert s.right(pairs) == [r.mul_vec(x) for x in batch]
+        inverse = exactalg._apply(s._col_log, n, pairs, True, True)
+        assert exactalg._vectors(inverse, len(batch)) == [v.mul_vec(x) for x in batch]
 
 
 FULL_ROW_RANK = IntMatrix.from_rows([[2, 1, 0, 3, -1, 0],
@@ -420,7 +430,7 @@ def test_u_image_columns_are_a_r_e_i_over_d_i(kind, rows, cols, seed):
     s = _Smith(a)
     r = s.rank
     u = s.u_matrix()
-    image = [a.mul_vec(col) for col in s.right(exactalg._units(range(r), cols))]
+    image = [a.mul_vec(col) for col in s.right(exactalg._units(range(r)))]
     assert all(x % d == 0 for column, d in zip(image, s.diag) for x in column)
     assert [u.col(i) for i in range(r)] == [tuple(x // d for x in column)
                                             for column, d in zip(image, s.diag)]
@@ -545,7 +555,7 @@ def test_unit_pivots_keep_row_work_within_the_nonzeros(g):
     total = TotalComplex(catalog.build_bundle(info, info.xi(), 1))
     for k in (0, 1):
         a = total.delta_matrix(k)
-        additions = sum(1 for c in _smith_cached(a)._row_log[2] if c)
+        additions = sum(1 for c in exactalg._smith(a)._row_log[2] if c)
         assert additions <= sum(map(len, a.nonzeros)), (k, additions)
 
 
@@ -563,3 +573,186 @@ def test_mul_matches_dense(rows, inner, cols, sparse, seed):
     make = sparse_unit_matrix if sparse else dense_matrix
     a, b = make(rng, rows, inner), make(rng, inner, cols)
     assert a.mul(b) == dense_mul(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Block-triangular matrices, factored from their diagonal blocks
+# ---------------------------------------------------------------------------
+
+def plain(a):
+    """The matrix of a's entries with no recorded blocks: factored from scratch."""
+    return IntMatrix.from_nonzeros([dict(row) for row in a.nonzeros], a.cols)
+
+
+def additions(smith):
+    return sum(1 for c in smith._row_log[2] if c)
+
+
+def made(a):
+    """The row additions a's own factorization makes: its row log less the
+    heads it takes over from its recorded blocks."""
+    return additions(exactalg._smith(a)) - sum(additions(exactalg._smith(b))
+                                               for b in a._blocks or ())
+
+
+def assert_seeded_matches(a, rng):
+    """A recorded block matrix: the seeded factorization has the diag and
+    rank of the plain one and of the dense reference, and factors A, spans
+    its kernel lattice and solves as the reference does."""
+    assert a._layout is not None
+    seeded, scratch = _Smith(a), _Smith(plain(a))
+    assert (seeded.diag, seeded.rank) == (scratch.diag, scratch.rank)
+    assert_same_as_dense(a, rng)
+
+
+BLOCK_KINDS = {"sparse-unit": lambda rng, r, c: sparse_unit_matrix(rng, r, c, density=0.3),
+               "dense": dense_matrix, "diagonal-heavy": diagonal_heavy_matrix,
+               "low-rank": low_rank_matrix}
+
+
+def random_block(rng, kind, rows, cols):
+    return BLOCK_KINDS[kind](rng, rows, cols) if rows and cols else IntMatrix.zeros(rows, cols)
+
+
+def triangular(rng, top, bottom, lower, c_kind):
+    """[[top, C], [0, bottom]], or [[top, 0], [C, bottom]] when ``lower``,
+    built by block_matrix; C is zero for ``c_kind`` "zero"."""
+    rows, cols = (bottom.rows, top.cols) if lower else (top.rows, bottom.cols)
+    c = IntMatrix.zeros(rows, cols) if c_kind == "zero" else random_block(rng, c_kind, rows, cols)
+    if lower:
+        return block_matrix([[top, IntMatrix.zeros(top.rows, bottom.cols)], [c, bottom]])
+    return block_matrix([[top, c], [IntMatrix.zeros(bottom.rows, top.cols), bottom]])
+
+
+@st.composite
+def block_grids(draw, depth):
+    """A block-triangular matrix whose diagonal blocks are random blocks of
+    0 to 7 rows and columns or, up to ``depth`` levels down, block
+    matrices themselves; upper or lower, C of any kind or zero."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+
+    def block():
+        if depth and draw(st.booleans()):
+            return draw(block_grids(depth - 1))
+        kind = draw(st.sampled_from(sorted(BLOCK_KINDS)))
+        return random_block(rng, kind, draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+
+    top, bottom = block(), block()
+    c_kind = draw(st.sampled_from(sorted(BLOCK_KINDS) + ["zero"]))
+    return triangular(rng, top, bottom, draw(st.booleans()), c_kind)
+
+
+# Torsion on both diagonals that C must mix: Smith diagonal 1, 1, 6, 54.
+TORSION_GRID = [[IntMatrix.from_rows([[2, 0], [0, 6]]), IntMatrix.from_rows([[1, 3], [0, 4]])],
+                [IntMatrix.zeros(2, 2), IntMatrix.from_rows([[3, 0], [0, 9]])]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_grids(0), st.integers(0, 10 ** 6))
+@example(block_matrix(TORSION_GRID), 0)
+@example(block_matrix([[IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 2)],
+                       [IntMatrix.zeros(4, 3), IntMatrix.from_rows([[1, 0], [0, 2], [1, 1], [0, 0]])]]),
+         0)
+@example(block_matrix([[IntMatrix.from_rows([[1, 2], [3, 4]]), IntMatrix.zeros(2, 0)],
+                       [IntMatrix.from_rows([[5, 0]]), IntMatrix.zeros(1, 0)]]), 0)
+def test_seeded_block_matrices_match_plain_and_dense(a, seed):
+    """Upper and lower grids of sparse unit-heavy, dense (entries within
+    50), diagonal-heavy (torsion) and low-rank blocks of 0 to 7 rows and
+    columns, C of any of those kinds or zero."""
+    assert_seeded_matches(a, random.Random(seed))
+
+
+@settings(max_examples=80, deadline=None)
+@given(block_grids(2), st.integers(0, 10 ** 6))
+def test_seeded_nested_block_matrices_match_plain_and_dense(a, seed):
+    """Grids whose diagonal blocks are grids, two levels down."""
+    assert_seeded_matches(a, random.Random(seed))
+
+
+def catalog_block_matrices(kind, params):
+    """The total deltas (zeta trivial and xi), D_even (both twists) and the
+    correspondence deltas of the space's bundle and flux at j = k = 1."""
+    info = catalog.space(kind, **params)
+    pair = catalog.build_flux(catalog.build_bundle(info, info.xi(), 1), 1)
+    out = [TotalComplex(pair.bundle, zeta).delta_matrix(k)
+           for zeta in (None, info.xi()) for k in range(3)]
+    out += [SmallTwistedComplex(pair, twist).d_even() for twist in (False, True)]
+    corr = CorrespondenceComplex(pair.bundle, pair.dual().bundle)
+    return out + [corr.delta_matrix(k) for k in range(4)]
+
+
+@pytest.mark.parametrize("kind,params", [("sigma", {"g": 2}), ("crosscap", {"n": 3}),
+                                         ("klein", {})])
+def test_catalog_block_matrices_match_plain_and_dense(kind, params):
+    rng = random.Random(5)
+    for a in catalog_block_matrices(kind, params):
+        assert_seeded_matches(a, rng)
+
+
+def test_d_even_and_total_deltas_clear_their_blocks_units_without_fill():
+    """On sigma(4) at j = k = 1, D_even's factorization makes at most 50
+    row additions beyond the logs of total delta^0 and delta^2 (2,311 from
+    scratch), and each total delta at most 50 beyond its base deltas'."""
+    info = catalog.space("sigma", g=4)
+    pair = catalog.build_flux(catalog.build_bundle(info, info.xi(), 1), 1)
+    for twist in (False, True):
+        model = SmallTwistedComplex(pair, twist)
+        for a in [model.d_even()] + [model.model.delta_matrix(k) for k in range(3)]:
+            assert a._layout is not None
+            assert made(a) <= 50, (twist, a.rows, a.cols, made(a))
+
+
+def clear_caches():
+    for module in (complexes, exactalg, bundles, tduality, ktheory, pipeline):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def total_reads(bundle, twin_first):
+    """From cold caches, factor total delta^1 and the equal matrix built by
+    from_nonzeros, in either order, then read the total model's groups,
+    representatives and class_of on cocycles moved by coboundaries."""
+    clear_caches()
+    model = TotalComplex(bundle)
+    cone = model.delta_matrix(1)
+    twin = plain(cone)
+    assert twin == cone and twin._layout is None and cone._layout is not None
+    for a in (twin, cone) if twin_first else (cone, twin):
+        exactalg._smith(a)
+    assert exactalg._smith(twin) is not exactalg._smith(cone)
+    groups = model.cohomology()
+    rng = random.Random(1)
+    moved = [[tuple(x + y for x, y in zip(rep, model.delta_matrix(k - 1).mul_vec(
+        [rng.randint(-2, 2) for _ in range(model.count(k - 1))]))) for rep in g.representatives]
+        for k, g in enumerate(groups)]
+    return ([g.group for g in groups], [g.representatives for g in groups],
+            [[g.class_of(c) for c in cycles] for g, cycles in zip(groups, moved)])
+
+
+@pytest.mark.parametrize("kind,params", [("sigma", {"g": 2}), ("crosscap", {"n": 3})])
+def test_total_groups_do_not_depend_on_which_equal_matrix_is_factored_first(kind, params):
+    info = catalog.space(kind, **params)
+    bundle = catalog.build_bundle(info, info.xi(), 1)
+    assert total_reads(bundle, twin_first=True) == total_reads(bundle, twin_first=False)
+
+
+def test_pipeline_cells_make_few_row_additions(monkeypatch):
+    """run_pipeline on sigma(4) at its four (j, k) and on crosscap(6) at
+    (1, 1), each from cold caches, makes at most 3,000 row additions in
+    all, counting for each factorization only those beyond the logs it
+    takes over from its blocks; from scratch they make 9,876."""
+    counts = []
+
+    class Counting(exactalg._Smith):
+        def __init__(self, a):
+            super().__init__(a)
+            counts.append(additions(self) - sum(additions(exactalg._smith(b))
+                                                for b in a._blocks or ()))
+
+    monkeypatch.setattr(exactalg, "_Smith", Counting)
+    cells = [("sigma", 4, j, k) for j in (0, 1) for k in (0, 1)] + [("crosscap", 6, 1, 1)]
+    for kind, param, j, k in cells:
+        clear_caches()
+        assert pipeline.run_pipeline(kind, param, j, k).ok
+    assert sum(counts) <= 3_000, sum(counts)

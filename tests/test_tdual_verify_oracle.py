@@ -7,7 +7,9 @@ of ``tests/test_tdual_oracle.py`` both must give the same four axiom
 values and the same round-trip verdicts.  Candidates: the dual, the dual
 moved inside its classes, its fibre inversion, and the dual of another
 flux on the same bundle (a wrong pairing).  A passing ``run_pipeline``
-factors no matrix of the correspondence complex's shape.
+factors no matrix of the correspondence complex's shape and assembles no
+correspondence coboundary, and its round trip compares the pair with a
+double dual that is not equal to it.
 """
 
 import random
@@ -21,6 +23,7 @@ from test_tdual_oracle import SPACES, catalog_pairs
 from tdual import bundles, catalog, complexes, exactalg, ktheory, pipeline, tduality
 from tdual.bundles import BundleDescriptor, TotalComplex
 from tdual.complexes import coboundary_matrix
+from tdual.exactalg import NoSolution, solve_integer
 from tdual.pipeline import run_pipeline
 from tdual.tduality import CorrespondenceComplex, FluxPair, duals_equivalent, verify_tduality
 
@@ -92,9 +95,9 @@ def test_pipeline_factors_no_correspondence_matrix(kind, param, monkeypatch):
     smith = exactalg._smith_cached.__wrapped__
 
     @lru_cache(maxsize=None)
-    def counting(a):
+    def counting(a, layout):
         factored.append((a.rows, a.cols))
-        return smith(a)
+        return smith(a, layout)
 
     monkeypatch.setattr(exactalg, "_smith_cached", counting)
     pair = pipeline._flux_for(kind, param, 1, 1)
@@ -105,6 +108,44 @@ def test_pipeline_factors_no_correspondence_matrix(kind, param, monkeypatch):
     clear_caches()
     assert run_pipeline(kind, param, 1, 1).ok
     assert factored and not shapes & set(factored)
+    assert tduality._corr_delta.cache_info().misses == 0
     # the reference's correspondence solve is seen by the same count
     ref.verify_tduality(pair, pair.dual())
     assert shapes & set(factored)
+
+
+def euler_shift(xi):
+    """delta u for the xi-twisted 1-cochain u = 1 on every edge."""
+    return coboundary_matrix(xi.base, 1, xi).mul_vec((1,) * xi.base.count(1))
+
+
+@pytest.mark.parametrize("kind,param", [("sigma", 2), ("crosscap", 3)])
+def test_round_trip_compares_the_pair_with_a_moved_double_dual(kind, param, monkeypatch):
+    """The double dual's flux is fhat + delta u, u = 1 on every edge, so the
+    two pairs compared differ, and duals_equivalent finds them equivalent."""
+    compared = []
+    equivalent = pipeline.duals_equivalent
+    monkeypatch.setattr(pipeline, "duals_equivalent",
+                        lambda q1, q2: compared.append((q1, q2)) or equivalent(q1, q2))
+    assert run_pipeline(kind, param, 1, 1).round_trip_ok
+    (pair, ddual), = compared
+    shift = euler_shift(pair.bundle.xi)
+    assert any(shift) and ddual != pair
+    assert ddual.bundle == pair.bundle and ddual.fhat == plus(pair.fhat, shift)
+
+
+@pytest.mark.parametrize("kind,param", [("sigma", 2), ("crosscap", 3)])
+def test_round_trip_fails_for_a_flux_moved_by_a_non_coboundary(kind, param, monkeypatch):
+    """Moved by the indicator of one triangle, which is no twisted
+    coboundary on a closed surface, the double dual's flux is in another
+    class, and the round trip reports it."""
+    def one_triangle(xi):
+        return (1,) + (0,) * (xi.base.count(2) - 1)
+
+    pair = pipeline._flux_for(kind, param, 1, 1)
+    xi = pair.bundle.xi
+    with pytest.raises(NoSolution):
+        solve_integer(coboundary_matrix(xi.base, 1, xi), one_triangle(xi))
+    monkeypatch.setattr(pipeline, "_euler_shift", one_triangle)
+    report = run_pipeline(kind, param, 1, 1)
+    assert not report.round_trip_ok and not report.ok

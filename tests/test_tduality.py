@@ -41,6 +41,18 @@ def test_correspondence_delta_squared_zero():
             assert corr.delta_matrix(deg + 1).mul(corr.delta_matrix(deg)).is_zero()
 
 
+def test_correspondence_coboundary_is_the_assembled_delta():
+    """coboundary applies delta block by block, from the total models and
+    the cup with ehat; in every degree it is the assembled cone's product."""
+    rng = random.Random(4)
+    for info, j, k in [(sigma(1), 0, 1), (crosscap_sum(2), 1, 2), (circle(), 0, 0)]:
+        p = pair_for(info, j, k)
+        corr = CorrespondenceComplex(p.bundle, p.dual().bundle)
+        for deg in range(5):
+            z = corr.from_vector(deg, [rng.randint(-3, 3) for _ in range(corr.count(deg))])
+            assert corr.coboundary(z).vector() == corr.delta_matrix(deg).mul_vec(z.vector())
+
+
 def test_correspondence_structure_maps_are_chain_maps():
     rng = random.Random(0)
     info = crosscap_sum(2)
