@@ -90,7 +90,7 @@ from .exactalg import (
     smith_normal_form,
     solve_integer,
 )
-from .fourier import Form, FourierScalar, VectorField
+from .fourier import Form, FourierScalar, FrequencyOverflow, VectorField
 from .ktheory import (
     AmbiguousExtension,
     KGroups,

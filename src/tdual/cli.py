@@ -26,6 +26,7 @@ from .catalog import OutOfRange
 from .complexes import BaseMismatch, DeltaComplex, LocalSystem, cohomology
 from .courant import EquivariantContext, run_context_checks
 from .fixtures import all_fixtures
+from .fourier import FrequencyOverflow
 from .ktheory import TwistClass, ahss_k_groups
 from .pipeline import run_fixtures, run_pipeline
 from .tduality import FluxPair, construct_tdual, verify_tduality
@@ -140,7 +141,10 @@ def cmd_courant_check(args) -> int:
     if args.sections < 1:
         raise InputError(f"--sections must be at least 1, not {args.sections}")
     ctx = _load(args.context, EquivariantContext.from_json_dict)
-    report = run_context_checks(ctx, sections=args.sections, seed=args.seed)
+    try:
+        report = run_context_checks(ctx, sections=args.sections, seed=args.seed)
+    except FrequencyOverflow as e:  # the context's waves times a section's
+        raise InputError(f"{args.context}: {e}") from None
     print(report)
     return 0 if report.ok else 1
 

@@ -28,8 +28,10 @@ def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
 
 
 # The largest base dimension of a loaded context, so that a few bytes of
-# JSON cannot ask for any size: the CLI's checks take 1.5 s over T^4, 41 s
-# and 485 MB over T^8.
+# JSON cannot ask for any size: the checks at the CLI's 12 sections, on a
+# context with the half-shift deck and one cosine flux potential, take
+# 0.35-0.5 s and 22 MB over T^4 and 6-9 s and 75 MB over T^8 (Python 3.11,
+# one core of a shared 2-CPU x86-64 host).
 MAX_BASE_DIM = 4
 
 
@@ -275,7 +277,7 @@ def _derived_bracket_holds(bracket: GeneralizedSection, s1: GeneralizedSection,
            + clifford(s1, dh(clifford(s2, w)))
            - clifford(s2, dh(clifford(s1, w)))
            - clifford(s2, clifford(s1, dh(w))))
-    return (lhs - rhs).is_zero()
+    return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ def _swap_intertwines(bracket: GeneralizedSection, swapped: GeneralizedSection,
                       ctx: EquivariantContext) -> bool:
     """``check_phi_intertwines`` given [s1, s2]_H and, as ``swapped``, the
     dual-side bracket of the swapped pair."""
-    return (bracket_swap(bracket, ctx) - swapped).is_zero()
+    return bracket_swap(bracket, ctx) == swapped
 
 
 def hori_forms(w: Form, ctx: EquivariantContext) -> Form:
@@ -456,21 +458,20 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     fns = [random_scalar(rng, ctx.base_dim) for _ in range(sections)]
     fns = [f + f.compose_affine(ctx.deck_a, ctx.deck_two_b) for f in fns]  # invariant
 
-    # Each distinct bracket is computed once; every check reads these.
+    # Each distinct bracket is computed once; every check reads these.  Scalars
+    # and forms are canonical tables, so each identity is one equality test.
     brs = [_brackets(a, b, c, f, ctx) for (a, b, c), f in zip(triples, fns)]
 
-    ok = all((br.a_bc - br.ab_c - br.b_ac).is_zero() for br in brs)
+    ok = all(br.a_bc == br.ab_c + br.b_ac for br in brs)
     checks.append(("bracket Leibniz identity over itself", ok))
 
-    ok = all(all((u - v).is_zero() for u, v in
-                 zip(br.ab.vec.components, a.vec.lie_bracket(b.vec).components))
-             for (a, b, _), br in zip(triples, brs))
+    ok = all(br.ab.vec == a.vec.lie_bracket(b.vec) for (a, b, _), br in zip(triples, brs))
     checks.append(("anchor respects brackets", ok))
 
     ok = True
     for (a, b, _), f, br in zip(triples, fns, brs):
         rhs = b.scale(a.vec.apply(f)) + br.ab.scale(f)
-        if not (br.a_fb - rhs).is_zero():
+        if br.a_fb != rhs:
             ok = False
             break
     checks.append(("bracket Leibniz rule for function multiples", ok))
@@ -478,7 +479,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     ok = True
     for (a, b, _), br in zip(triples, brs):
         target = anchor_d(pairing(a, b).scale(2), cd)
-        if not (br.ab + br.ba - target).is_zero():
+        if br.ab + br.ba != target:
             ok = False
             break
     checks.append(("symmetrized bracket is the pairing differential", ok))
@@ -487,7 +488,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     for (a, b, c), br in zip(triples, brs):
         lhs = a.vec.apply(pairing(b, c))
         rhs = pairing(br.ab, c) + pairing(b, br.ac)
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             ok = False
             break
     checks.append(("anchor differentiates the pairing", ok))
@@ -504,11 +505,11 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     ok = True
     for a, b, _ in triples:
         pa, pb = phi_swap(a, ctx), phi_swap(b, ctx)
-        if not (pairing(pa, pb) - pairing(a, b)).is_zero():
+        if pairing(pa, pb) != pairing(a, b):
             ok = False
             break
         back = phi_swap(pa, ctx.dual())
-        if not (back - a).is_zero():
+        if back != a:
             ok = False
             break
     checks.append(("swap preserves the pairing and is an involution", ok))
@@ -520,7 +521,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     for (a, _, _), w in zip(triples, forms):
         lhs = hori_forms(clifford(a, w), ctx)
         rhs = clifford(phi_swap(a, ctx), hori_forms(w, ctx)).scale_rat(-1)
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             ok = False
             break
     checks.append(("transform anti-commutes with the Clifford action", ok))
@@ -529,7 +530,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     for w in forms:
         lhs = hori_forms(twisted_d(w, ctx, "E"), ctx)
         rhs = twisted_d(hori_forms(w, ctx), ctx, "Ehat").scale_rat(-1)
-        if not (lhs - rhs).is_zero():
+        if lhs != rhs:
             ok = False
             break
     checks.append(("transform anti-commutes with the twisted differential", ok))
@@ -537,7 +538,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     ok = True
     for w in forms:
         round_trip = hori_forms(hori_forms(w, ctx), ctx.dual())
-        if not (round_trip + w).is_zero():
+        if round_trip != -w:
             ok = False
             break
     checks.append(("reverse transform inverts with a sign", ok))

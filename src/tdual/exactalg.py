@@ -820,14 +820,14 @@ def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
              for (_, d), col in zip(tors, s_in.right(_units([i for i, _ in tors])))]
     kernel = _smith(d_out).kernel_columns()
     lines = _apply(s_in._row_log, n_mid, [_pairs(k) for k in kernel], False, False)  # L K
-    l_kernel = _vectors(lines, len(kernel))
     s_free = _Smith(IntMatrix.from_nonzeros(lines[r:], len(kernel)))
     f = s_free.rank
     reps = []
     for col in s_free.right(_units(range(f))):
-        rep, l_rep = _combine(enumerate(col), kernel, n_mid), _combine(enumerate(col), l_kernel, r)
-        reps.append(tuple(_combine(enumerate([1] + [-l_rep[i] for i, _ in tors]),
-                                   [rep] + units, n_mid)))
+        rep = _combine(enumerate(col), kernel, n_mid)
+        # the torsion components of rep: (L rep)_i = sum over k of (L K)_ik col_k
+        l_rep = [sum(x * col[k] for k, x in lines[i].items()) for i, _ in tors]
+        reps.append(tuple(_combine(enumerate([1] + [-y for y in l_rep]), [rep] + units, n_mid)))
 
     def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
         if len(cycle) != n_mid:

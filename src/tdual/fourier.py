@@ -6,36 +6,61 @@ entry of k positive) with integer cos/sin numerators over one positive
 common denominator, so reality holds by construction and products run on
 Python ints.  Coordinates have period one and the derivative is
 normalized so that the k-th wave differentiates to i*k times itself.
-Forms carry a component scalar per coordinate subset of the cover
-T^{d+1}, whose last coordinate is the fiber angle; all coefficients are
-independent of the fiber coordinate.  The JSON schema is the Gaussian
-full spectrum: one {"freq", "re", "im"} entry per nonzero coefficient at
-k and at -k.  ``FourierScalar.from_json_list`` is the one place such a
-spectrum enters, and the one place its reality is checked; there is no
-Gaussian-rational type (``GaussQ`` is gone).  Form and vector-field
-operations emit (key, integer, scalar) pieces and sum each key once
-(``_form`` over ``_lincomb``).  Products have one kernel: ``_products``
-adds every c * f * g of a sum straight into one frequency accumulator
-over a common denominator and reduces once per output key; the
-product-to-sum formula is written only in ``_mul_into``, and
-``FourierScalar.__mul__`` is the one-term case.  ``Form.make`` and
-``Form.from_json_list`` check component keys; operations build their
-results through the unchecked ``_form_of``.
+A frequency is packed into one int, a signed 64-bit digit per entry, the
+first most significant: k1 +- k2 is an int sum, the upper half is the
+positive ints and int order is lexicographic.  Entries are capped at
+|k_i| < 2**31, so a sum of two is exact; ``FrequencyOverflow`` (a
+``ValueError``) is raised where a frequency enters (``cos_wave``,
+``sin_wave``, ``from_json_list``) and where it grows (``compose_affine``
+and each product's output).  A form on T^{d+1}, fiber angle last, is one
+such table with keys packed frequency << cover_dim | coordinate mask.
+Each form operation is one pass into one accumulator and one reduction
+(``_table``), with signs from bit counts; ``_mul_into`` is the one
+product kernel.  The JSON schema is the Gaussian full spectrum, one
+{"freq", "re", "im"} entry per nonzero coefficient at k and at -k, read
+only by ``FourierScalar.from_json_list``, which checks its reality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd, lcm, prod
-from operator import add, mul, neg, sub
+from operator import mul, neg
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .complexes import json_int
 
 Rat = Union[int, Fraction]
-Term = tuple[tuple[int, ...], int, int]
+Term = tuple[int, int, int]
+Key = tuple[int, ...]
+Table = tuple[tuple[Term, ...], int]  # a scalar's or form's (terms, den)
+
+_CAP = 1 << 31  # every frequency entry has |k_i| < _CAP
+_DIGIT = (1 << 64) - 1
+
+
+class FrequencyOverflow(ValueError):
+    """A frequency entry reached 2**31 in absolute value."""
+
+    def __init__(self) -> None:
+        super().__init__("frequency entries must be below 2**31 in absolute value")
+
+
+def _pack(k: Sequence[int]) -> int:
+    p = 0
+    for v in k:
+        if not -_CAP < v < _CAP:
+            raise FrequencyOverflow()
+        p = (p << 64) + v
+    return p
+
+
+def _unpack(p: int, dim: int) -> Key:
+    p += _CAP * (((1 << 64 * dim) - 1) // _DIGIT)  # every digit k_i + 2**31 >= 0
+    return tuple([(p >> s & _DIGIT) - _CAP for s in range(64 * dim - 64, -1, -64)])
 
 
 @dataclass(unsafe_hash=True, slots=True)
@@ -44,15 +69,13 @@ class FourierScalar:
 
         f(x) = sum over (k, a, b) in terms of (a cos 2pi k.x + b sin 2pi k.x) / den.
 
-    ``terms`` holds the frequencies of the closed upper half in increasing
-    order, each with integer numerators (a, b) not both zero and b = 0 at
-    k = 0; ``den`` is positive and has gcd 1 with the numerators taken
-    together, so equal scalars have equal fields.  In Gaussian terms the coefficient
-    at k != 0 is (a - b i) / (2 den) and the one at -k its conjugate.
-
-    Operations build scalars through ``_scalar``, which reduces; a Gaussian
-    full spectrum enters only through ``from_json_list``, which checks that
-    it is real.  Scalars are never mutated, so they hash by their fields.
+    ``terms`` holds the packed frequencies of the closed upper half in
+    increasing order, each with integer numerators (a, b) not both zero
+    and b = 0 at k = 0; ``den`` is positive and has gcd 1 with the
+    numerators taken together, so equal scalars have equal fields.  In
+    Gaussian terms the coefficient at k != 0 is (a - b i) / (2 den) and
+    the one at -k its conjugate.  Operations build scalars through
+    ``_reduce``; scalars are never mutated, so they hash by their fields.
     """
 
     dim: int
@@ -66,7 +89,7 @@ class FourierScalar:
     @staticmethod
     def const(dim: int, value: Rat) -> "FourierScalar":
         v = Fraction(value)
-        return _scalar(dim, [((0,) * dim, v.numerator, 0)] if v else [], v.denominator)
+        return FourierScalar(dim, *_reduce([(0, v.numerator, 0)] if v else [], v.denominator))
 
     @staticmethod
     def cos_wave(freq: Sequence[int], amp: Rat = 1) -> "FourierScalar":
@@ -80,64 +103,41 @@ class FourierScalar:
         return not self.terms
 
     def __add__(self, o: "FourierScalar") -> "FourierScalar":
-        return _lincomb(self.dim, ((1, self), (1, o)))
+        return FourierScalar(self.dim, *_lincomb(((1, self), (1, o))))
 
     def __sub__(self, o: "FourierScalar") -> "FourierScalar":
-        return _lincomb(self.dim, ((1, self), (-1, o)))
+        return FourierScalar(self.dim, *_lincomb(((1, self), (-1, o))))
 
     def __mul__(self, o: "FourierScalar") -> "FourierScalar":
-        return _products(self.dim, ((1, self, o),))
+        acc: dict = {}
+        _mul_into(acc, 1, self.terms, o.terms)
+        return FourierScalar(self.dim, *_table(acc, 2 * self.den * o.den, self.dim))
 
     def scale(self, c: Rat) -> "FourierScalar":
-        if type(c) is not int:
-            c = Fraction(c)
-        p = c.numerator
-        if not p:
-            return FourierScalar.zero(self.dim)
-        return _scalar(self.dim, [(k, a * p, b * p) for k, a, b in self.terms],
-                       self.den * c.denominator)
+        return FourierScalar(self.dim, *_scaled(self, c))
 
     def __neg__(self) -> "FourierScalar":
         return self.scale(-1)
 
     def partial(self, j: int) -> "FourierScalar":
-        # d/dx_j (a cos + b sin) = k_j b cos - k_j a sin
-        return _scalar(self.dim, [(k, k[j] * b, -k[j] * a)
-                                  for k, a, b in self.terms if k[j]], self.den)
+        return FourierScalar(self.dim, *_reduce(_partials(self.terms, self.dim)[j], self.den))
 
     def compose_affine(self, a_rows: Sequence[Sequence[int]],
                        two_b: Sequence[int]) -> "FourierScalar":
-        """f(A x + b) with 2b integral; phases stay exact signs."""
-        cols = list(zip(*a_rows))
-        zero = (0,) * self.dim
-        acc: dict[tuple[int, ...], list[int]] = {}
-        for k, a, b in self.terms:
-            newk = tuple(sum(map(mul, k, col)) for col in cols)
-            if sum(map(mul, k, two_b)) % 2:
-                a, b = -a, -b
-            if newk < zero:
-                newk = tuple(map(neg, newk))
-                b = -b
-            elif newk == zero:
-                b = 0
-            p = acc.get(newk)
-            if p is None:
-                acc[newk] = [a, b]
-            else:
-                p[0] += a
-                p[1] += b
-        return _collect(self.dim, acc, self.den)
+        """f(A x + b) with 2b integral, the pullback of the 0-form f."""
+        return Form.scalar(self.dim + 1, self).pullback(a_rows, two_b).component(())
 
     def constant_term(self) -> Fraction:
-        if self.terms and not any(self.terms[0][0]):
+        if self.terms and not self.terms[0][0]:
             return Fraction(self.terms[0][1], self.den)
         return Fraction(0)
 
     def to_json_list(self) -> list:
         full = []
         two_den = 2 * self.den
-        for k, a, b in self.terms:
-            if any(k):
+        for p, a, b in self.terms:
+            k = _unpack(p, self.dim)
+            if p:
                 re = str(Fraction(a, two_den))
                 full.append((k, re, str(Fraction(-b, two_den))))
                 full.append((tuple(map(neg, k)), re, str(Fraction(b, two_den))))
@@ -149,8 +149,9 @@ class FourierScalar:
     @staticmethod
     def from_json_list(dim: int, items: list) -> "FourierScalar":
         """The scalar with Gaussian coefficient re + i im at each ``freq``;
-        ``ValueError`` unless every nonzero one has ``dim`` entries and the
-        coefficient at -k is the conjugate of the one at k."""
+        ``ValueError`` unless every nonzero one has ``dim`` entries below
+        2**31 in absolute value and the coefficient at -k is the conjugate
+        of the one at k."""
         coeff = {}
         for item in items:
             k = tuple(json_int(v, "freq") for v in item["freq"])
@@ -165,170 +166,186 @@ class FourierScalar:
             if coeff.get(tuple(map(neg, k)), (0, 0)) != (re, -im):
                 raise ValueError("reality violated: coefficient at -k must conjugate")
             if k > zero:
-                half.append((k, 2 * re, -2 * im))
+                half.append((_pack(k), 2 * re, -2 * im))
             elif k == zero:
-                half.append((k, re, im))
+                half.append((0, re, im))
         den = lcm(*(x.denominator for _, re, im in half for x in (re, im)))
-        return _scalar(dim, [(k, int(re * den), int(im * den)) for k, re, im in half], den)
+        return FourierScalar(dim, *_reduce([(k, int(re * den), int(im * den))
+                                            for k, re, im in half], den))
 
 
-def _reduce(items: list[Term], den: int) -> tuple[tuple[Term, ...], int]:
+def _reduce(items: list[Term], den: int) -> Table:
     """Divide the common factor of ``den`` and every numerator out of
-    ``items``: (k, a, b) with k in the closed upper half, sorted by k and
-    distinct, b = 0 at k = 0 and (a, b) != (0, 0)."""
+    ``items``: (key, a, b) sorted by key and distinct, (a, b) != (0, 0)
+    and b = 0 at frequency 0."""
     g = den
     for _, a, b in items:
         g = gcd(g, a, b)
         if g == 1:
             return tuple(items), den
-    return tuple((k, a // g, b // g) for k, a, b in items), den // g
+    return tuple([(k, a // g, b // g) for k, a, b in items]), den // g
 
 
-def _scalar(dim: int, items: list[Term], den: int) -> FourierScalar:
-    """The unchecked constructor behind every operation; see ``_reduce``."""
-    return FourierScalar(dim, *_reduce(items, den))
+def _table(acc: dict, den: int, dim: int = 0, shift: int = 0) -> Table:
+    """``_reduce`` of the nonzero entries of a key -> [a, b] accumulator.
+    Given a product's ``dim``, ``FrequencyOverflow`` unless each digit of
+    each frequency (the key above ``shift`` mask bits) is in [-2**31, 2**31)
+    and in [-2**31 + 1, 2**31 + 1); exact for sums of two capped frequencies."""
+    if dim:
+        ones = ((1 << 64 * dim) - 1) // _DIGIT << shift
+        lo, hi, high = (_CAP - 1) * ones, _CAP * ones, (_DIGIT - (1 << 32) + 1) * ones
+        for k in acc:
+            if (k + lo | k + hi) & high:
+                raise FrequencyOverflow()
+    return _reduce(sorted([(k, a, b) for k, (a, b) in acc.items() if a or b]), den)
 
 
-def _collect(dim: int, acc: dict, den: int) -> FourierScalar:
-    """``_scalar`` from a frequency -> [a, b] accumulator."""
-    return _scalar(dim, sorted((k, a, b) for k, (a, b) in acc.items() if a or b), den)
-
-
-def _lincomb(dim: int, pairs: Iterable[tuple[int, FourierScalar]]) -> FourierScalar:
-    """The sum of c * s over (integer c, scalar s) pairs, taken over the
-    least common denominator and reduced once."""
+def _lincomb(pairs: Iterable[tuple[int, Union[FourierScalar, "Form"]]]) -> Table:
+    """The table of the sum of c * s over (integer c, scalar or form s)
+    pairs, taken over the least common denominator and reduced once."""
     pairs = [(c, s) for c, s in pairs if c and s.terms]
     if not pairs:
-        return FourierScalar.zero(dim)
+        return (), 1
     if len(pairs) == 1 and pairs[0][0] == 1:
-        return pairs[0][1]
+        return pairs[0][1].terms, pairs[0][1].den
     den = lcm(*(s.den for _, s in pairs))
-    acc: dict[tuple[int, ...], list[int]] = {}
+    (c, s), *rest = pairs
+    acc = {k: [a * c * (den // s.den), b * c * (den // s.den)] for k, a, b in s.terms}
+    for c, s in rest:
+        _add(acc, c * (den // s.den), s.terms)
+    return _table(acc, den)
+
+
+def _add(acc: dict, c: int, terms: Iterable[Term]) -> None:
+    """Add c times ``terms`` into the key -> [a, b] accumulator ``acc``."""
     get = acc.get
-    for c, s in pairs:
-        m = c * (den // s.den)
-        for k, a, b in s.terms:
-            p = get(k)
-            if p is None:
-                acc[k] = [a * m, b * m]
-            else:
-                p[0] += a * m
-                p[1] += b * m
-    return _collect(dim, acc, den)
+    for k, a, b in terms:
+        p = get(k)
+        if p is None:
+            acc[k] = [c * a, c * b]
+        else:
+            p[0] += c * a
+            p[1] += c * b
 
 
-def _mul_into(acc: dict, m: int, t1: Sequence[Term], t2: Sequence[Term]) -> None:
-    """Add m times the numerators of f1 f2, written over the denominator
-    2 den(f1) den(f2), into the frequency -> [a, b] accumulator ``acc``,
-    for f1, f2 with terms t1, t2."""
+def _scaled(s: Union[FourierScalar, "Form"], c: Rat) -> Table:
+    c = Fraction(c)
+    n = c.numerator
+    return _reduce([(k, a * n, b * n) for k, a, b in s.terms] if n else [], s.den * c.denominator)
+
+
+def _mul_into(acc: dict, c: int, t1: Sequence[Term], t2: Sequence[Term], mask: int = 0) -> None:
+    """Add c times the numerators of f1 f2 over 2 den(f1) den(f2) into
+    ``acc`` at each product frequency plus ``mask``, for f1, f2 with terms
+    t1, t2 whose keys are frequencies shifted alike."""
     # Product to sum: with x = a1 a2, y = b1 b2, u = a1 b2, v = b1 a2,
     # 2 f1 f2 = (x - y) cos(s) + (u + v) sin(s) + (x + y) cos(t) + (v - u) sin(t)
     # for s = k1 + k2 (always in the upper half) and t = k1 - k2,
     # flipped into the upper half by negating its sin part.
-    zero = (0,) * len(t1[0][0])
     get = acc.get
     for k1, a1, b1 in t1:
-        if m != 1:
-            a1 *= m
-            b1 *= m
+        if c != 1:
+            a1 *= c
+            b1 *= c
+        ks = k1 + mask
         for k2, a2, b2 in t2:
             x = a1 * a2
             y = b1 * b2
             u = a1 * b2
             v = b1 * a2
-            ks = tuple(map(add, k1, k2))
-            p = get(ks)
+            k = ks + k2
+            p = get(k)
             if p is None:
-                acc[ks] = [x - y, u + v]
+                acc[k] = [x - y, u + v]
             else:
                 p[0] += x - y
                 p[1] += u + v
-            kd = tuple(map(sub, k1, k2))
-            if kd > zero:
-                s = v - u
-            elif kd < zero:
-                kd = tuple(map(sub, k2, k1))
-                s = u - v
+            k = k1 - k2
+            if k > 0:
+                k, s = k + mask, v - u
+            elif k:
+                k, s = mask - k, u - v
             else:
-                s = 0
-            p = get(kd)
+                k, s = mask, 0
+            p = get(k)
             if p is None:
-                acc[kd] = [x + y, s]
+                acc[k] = [x + y, s]
             else:
                 p[0] += x + y
                 p[1] += s
 
 
-def _products(dim: int, triples: Iterable[tuple[int, FourierScalar, FourierScalar]]) -> FourierScalar:
-    """The sum of c * f * g over (integer c, scalar f, scalar g) triples:
-    each product is added straight into one accumulator over the least
-    common denominator, reduced once.  ``__mul__`` is the one-term case."""
-    triples = [(c, f, g) for c, f, g in triples if c and f.terms and g.terms]
-    if not triples:
-        return FourierScalar.zero(dim)
-    den = lcm(*(f.den * g.den for _, f, g in triples))
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for c, f, g in triples:
-        _mul_into(acc, c * (den // (f.den * g.den)), f.terms, g.terms)
-    return _collect(dim, acc, 2 * den)
+def _partials(terms: Sequence[Term], dim: int, shift: int = 0) -> list[list[Term]]:
+    """Per base coordinate j, the terms of d/dx_j, unreduced with their keys
+    (frequencies above ``shift`` bits): d/dx_j (a cos + b sin) = k_j b cos - k_j a sin."""
+    out: list[list[Term]] = [[] for _ in range(dim)]
+    places = list(zip(out, range(64 * dim - 64 + shift, shift - 1, -64)))
+    off = _CAP * (((1 << 64 * dim) - 1) // _DIGIT) << shift  # every digit k_j + 2**31 >= 0
+    for p, a, b in terms:
+        q = p + off
+        for part, s in places:
+            kj = (q >> s & _DIGIT) - _CAP
+            if kj:
+                part.append((p, kj * b, -kj * a))
+    return out
 
 
 def _wave(freq: Sequence[int], amp: Rat, sine: bool) -> FourierScalar:
     """amp * cos(2pi k.x) or amp * sin(2pi k.x), k flipped into the upper half."""
-    k = tuple(int(v) for v in freq)
-    amp = Fraction(amp)
-    zero = (0,) * len(k)
-    p = amp.numerator
-    if k < zero:
-        k = tuple(map(neg, k))
-        if sine:
-            p = -p
-    elif k == zero and sine:
-        p = 0
-    return _scalar(len(k), [(k, 0, p) if sine else (k, p, 0)] if p else [],
-                   amp.denominator)
+    k = [int(v) for v in freq]
+    p, amp = _pack(k), Fraction(amp)
+    n = amp.numerator
+    if sine:  # odd, and zero at k = 0
+        n *= (p > 0) - (p < 0)
+    term = (abs(p), 0, n) if sine else (abs(p), n, 0)
+    return FourierScalar(len(k), *_reduce([term] if n else [], amp.denominator))
 
 
-Key = tuple[int, ...]
+def _mask(key: Iterable[int]) -> int:
+    return sum(1 << i for i in key)
 
 
-def _delete_sign(key: Key, j: int) -> tuple[Key, int]:
-    pos = key.index(j)
-    return key[:pos] + key[pos + 1:], -1 if pos % 2 else 1
+def _key(mask: int) -> Key:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _sort_sign(seq: Sequence[int]) -> int:
-    """The sign of the permutation that sorts the distinct entries of seq."""
-    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
+def _sign(mask: int) -> int:
+    """(-1) to the number of bits of ``mask``."""
+    return -1 if mask.bit_count() & 1 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Form:
-    """Inhomogeneous differential form on T^{cover_dim}; component scalars
-    depend only on the first ``cover_dim - 1`` coordinates."""
+    """Inhomogeneous differential form on T^{cover_dim} whose coefficients
+    depend only on the first ``cover_dim - 1`` coordinates: the terms
+    (packed frequency << cover_dim | coordinate mask, a, b) over ``den``,
+    canonical as in ``FourierScalar``."""
 
     cover_dim: int
-    components: tuple[tuple[Key, FourierScalar], ...]
+    terms: tuple[Term, ...]
+    den: int
 
     @staticmethod
     def make(cover_dim: int, mapping: Mapping[Key, FourierScalar]) -> "Form":
         """The form with the nonzero components of ``mapping``; ``ValueError``
         unless each of their keys is sorted, distinct and in range and each
-        scalar lives on the base.  Operations build their results through
-        the unchecked ``_form_of``."""
-        out = _form_of(cover_dim, mapping)
-        for key, f in out.components:
+        scalar lives on the base."""
+        den = lcm(*(f.den for f in mapping.values()))
+        items = []
+        for key, f in sorted((k, f) for k, f in mapping.items() if f.terms):
             if any(i < 0 or i >= cover_dim for i in key):
                 raise ValueError("coordinate index out of range")
             if tuple(sorted(set(key))) != key:
                 raise ValueError("component keys must be sorted and distinct")
             if f.dim != cover_dim - 1:
                 raise ValueError("scalar base dimension mismatch")
-        return out
+            m, c = _mask(key), den // f.den
+            items += [(k << cover_dim | m, a * c, b * c) for k, a, b in f.terms]
+        return Form(cover_dim, *_reduce(sorted(items), den))
 
     @staticmethod
     def zero(cover_dim: int) -> "Form":
-        return Form(cover_dim, ())
+        return Form(cover_dim, (), 1)
 
     @staticmethod
     def scalar(cover_dim: int, f: FourierScalar) -> "Form":
@@ -343,70 +360,100 @@ class Form:
         f = coeff if coeff is not None else FourierScalar.const(cover_dim - 1, 1)
         return Form.make(cover_dim, {(j,): f})
 
+    def _groups(self) -> dict[int, list[Term]]:
+        """Coordinate mask -> the terms of that component, mask cleared."""
+        groups: dict[int, list[Term]] = {}
+        for key, a, b in self.terms:
+            m = key & ((1 << self.cover_dim) - 1)
+            groups.setdefault(m, []).append((key ^ m, a, b))
+        return groups
+
+    def _scalar(self, t: list[Term]) -> FourierScalar:
+        cd = self.cover_dim
+        return FourierScalar(cd - 1, *_reduce([(k >> cd, a, b) for k, a, b in t], self.den))
+
+    @property
+    def components(self) -> tuple[tuple[Key, FourierScalar], ...]:
+        """(key, scalar) per nonzero component, in key order."""
+        return tuple(sorted((_key(m), self._scalar(t)) for m, t in self._groups().items()))
+
     def component(self, key: Key) -> FourierScalar:
-        for k, f in self.components:
-            if k == key:
-                return f
-        return FourierScalar.zero(self.cover_dim - 1)
+        m = _mask(i for i in key if 0 <= i < self.cover_dim)
+        return self._scalar(self._groups().get(m, []) if _key(m) == key else [])
 
     def is_zero(self) -> bool:
-        return not self.components
+        return not self.terms
 
     def degrees(self) -> set[int]:
-        return {len(k) for k, _ in self.components}
-
-    def _pieces(self, c: int) -> list[tuple[Key, int, FourierScalar]]:
-        return [(k, c, f) for k, f in self.components]
+        return {(k & ((1 << self.cover_dim) - 1)).bit_count() for k, _, _ in self.terms}
 
     def __add__(self, o: "Form") -> "Form":
-        return _form(self.cover_dim, self._pieces(1) + o._pieces(1))
+        return Form(self.cover_dim, *_lincomb(((1, self), (1, o))))
 
     def __sub__(self, o: "Form") -> "Form":
-        return _form(self.cover_dim, self._pieces(1) + o._pieces(-1))
+        return Form(self.cover_dim, *_lincomb(((1, self), (-1, o))))
 
     def __neg__(self) -> "Form":
-        return _form(self.cover_dim, self._pieces(-1))
+        return self.scale_rat(-1)
 
     def scale_rat(self, c: Rat) -> "Form":
-        return _form_of(self.cover_dim, {k: f.scale(c) for k, f in self.components})
+        return Form(self.cover_dim, *_scaled(self, c))
 
     def scale(self, g: FourierScalar) -> "Form":
-        return _form_products(self.cover_dim, [(k, 1, g, f) for k, f in self.components])
+        cd, acc = self.cover_dim, {}
+        t2 = [(k << cd, a, b) for k, a, b in g.terms]
+        for m, t in self._groups().items():
+            _mul_into(acc, 1, t2, t, m)
+        return Form(cd, *_table(acc, 2 * self.den * g.den, cd - 1, cd))
 
     def wedge(self, o: "Form") -> "Form":
-        return _form_products(self.cover_dim, [
-            (tuple(sorted(k1 + k2)), _sort_sign(k1 + k2), f1, f2)
-            for k1, f1 in self.components for k2, f2 in o.components
-            if not set(k1) & set(k2)])
+        cd, acc = self.cover_dim, {}
+        for m1, t1 in self._groups().items():
+            for m2, t2 in o._groups().items():
+                if not m1 & m2:  # the sign sorts m1's indices followed by m2's
+                    n = sum((m1 >> j + 1).bit_count() for j in range(cd) if m2 >> j & 1)
+                    _mul_into(acc, -1 if n % 2 else 1, t1, t2, m1 | m2)
+        return Form(cd, *_table(acc, 2 * self.den * o.den, cd - 1, cd))
 
     def d(self) -> "Form":
         # the fiber coordinate never appears
-        return _form(self.cover_dim, [
-            (tuple(sorted((j,) + key)), _sort_sign((j,) + key), f.partial(j))
-            for key, f in self.components for j in range(self.cover_dim - 1) if j not in key])
+        cd, acc = self.cover_dim, {}
+        for j, part in enumerate(_partials(self.terms, cd - 1, cd)):
+            _add(acc, 1, [(k | 1 << j, -a, -b) if (k & ((1 << j) - 1)).bit_count() & 1
+                          else (k | 1 << j, a, b) for k, a, b in part if not k >> j & 1])
+        return Form(cd, *_table(acc, self.den))
 
     def interior(self, vf: "VectorField") -> "Form":
-        pieces = []
-        for key, f in self.components:
-            for j in key:
-                new, sign = _delete_sign(key, j)
-                pieces.append((new, sign, vf.components[j], f))
-        return _form_products(self.cover_dim, pieces)
+        cd, acc = self.cover_dim, {}
+        den, _, rows = vf._rows
+        for m, t in self._groups().items():
+            for j in range(cd):
+                if m >> j & 1:
+                    _mul_into(acc, _sign(m & ((1 << j) - 1)), rows[j], t, m ^ 1 << j)
+        return Form(cd, *_table(acc, 2 * self.den * den, cd - 1, cd))
 
     def pullback(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "Form":
         """Pullback along (x, theta) -> (Ax + b, -theta): dx_i goes to
         sum_j A_ij dx_j and dtheta to -dtheta."""
-        d = self.cover_dim - 1
-        images = [[(j, a) for j, a in enumerate(row) if a] for row in a_rows] + [[(d, -1)]]
-        pieces = []
-        for key, f in self.components:
-            g = f.compose_affine(a_rows, two_b)
-            for choice in product(*(images[i] for i in key)):
-                js = tuple(j for j, _ in choice)
-                if len(set(js)) == len(js):
-                    pieces.append((tuple(sorted(js)),
-                                   _sort_sign(js) * prod(a for _, a in choice), g))
-        return _form(self.cover_dim, pieces)
+        cd, acc, images = self.cover_dim, {}, {}
+        rows = [[(j, a) for j, a in enumerate(row) if a] for row in a_rows] + [[(cd - 1, -1)]]
+        for m in self._groups():  # signed by the permutation that sorts the new indices
+            images[m] = [(_mask(js), (-1) ** sum(i > j for i, j in combinations(js, 2))
+                          * prod(a for _, a in choice))
+                         for choice in product(*(rows[i] for i in _key(m)))
+                         for js in [[j for j, _ in choice]] if len(set(js)) == len(js)]
+        cols = list(zip(*a_rows))
+        for key, a, b in self.terms:  # frequency k goes to kA, phases to signs
+            k = _unpack(key >> cd, cd - 1)
+            if sum(map(mul, k, two_b)) % 2:
+                a, b = -a, -b
+            p = _pack([sum(map(mul, k, col)) for col in cols])
+            if p < 0:
+                p, b = -p, -b
+            elif not p:
+                b = 0
+            _add(acc, 1, [(p << cd | m, c * a, c * b) for m, c in images[key & ((1 << cd) - 1)]])
+        return Form(cd, *_table(acc, self.den))
 
     def to_json_list(self) -> list:
         return [{"dx": list(k), "waves": f.to_json_list()} for k, f in self.components]
@@ -418,31 +465,6 @@ class Form:
             key = tuple(json_int(v, "dx") for v in item["dx"])
             acc[key] = FourierScalar.from_json_list(cover_dim - 1, item["waves"])
         return Form.make(cover_dim, acc)
-
-
-def _form_of(cover_dim: int, mapping: Mapping[Key, FourierScalar]) -> Form:
-    """The form with the nonzero components of ``mapping``, whose keys are
-    taken to be valid: the unchecked constructor behind every operation."""
-    return Form(cover_dim, tuple(sorted((k, f) for k, f in mapping.items() if f.terms)))
-
-
-def _form(cover_dim: int, pieces: Iterable[tuple[Key, int, FourierScalar]]) -> Form:
-    """The form sum of c * s dx_key over (key, integer c, scalar s) pieces,
-    each key summed by one ``_lincomb``."""
-    groups: dict[Key, list] = {}
-    for key, c, s in pieces:
-        groups.setdefault(key, []).append((c, s))
-    return _form_of(cover_dim, {k: _lincomb(cover_dim - 1, g) for k, g in groups.items()})
-
-
-def _form_products(cover_dim: int,
-                   pieces: Iterable[tuple[Key, int, FourierScalar, FourierScalar]]) -> Form:
-    """The form sum of c * f * g dx_key over (key, integer c, scalar f,
-    scalar g) pieces, each key summed by one ``_products``."""
-    groups: dict[Key, list] = {}
-    for key, c, f, g in pieces:
-        groups.setdefault(key, []).append((c, f, g))
-    return _form_of(cover_dim, {k: _products(cover_dim - 1, g) for k, g in groups.items()})
 
 
 @dataclass(frozen=True)
@@ -458,6 +480,15 @@ class VectorField:
         for f in self.components:
             if f.dim != self.cover_dim - 1:
                 raise ValueError("scalar base dimension mismatch")
+
+    @cached_property
+    def _rows(self) -> tuple[int, list[Sequence[Term]], list[list[Term]]]:
+        """(den, each component's terms over den, the same shifted as in forms)."""
+        den, cd = lcm(*(f.den for f in self.components)), self.cover_dim
+        rows = [f.terms if f.den == den else
+                [(k, a * (den // f.den), b * (den // f.den)) for k, a, b in f.terms]
+                for f in self.components]
+        return den, rows, [[(k << cd, a, b) for k, a, b in row] for row in rows]
 
     @staticmethod
     def zero(cover_dim: int) -> "VectorField":
@@ -487,18 +518,26 @@ class VectorField:
     def scale(self, g: FourierScalar) -> "VectorField":
         return VectorField(self.cover_dim, tuple(g * f for f in self.components))
 
-    def _derivative_terms(self, f: FourierScalar, c: int) -> list:
-        # the fiber coordinate contributes nothing
-        return [(c, self.components[j], f.partial(j)) for j in range(f.dim)]
-
     def apply(self, f: FourierScalar) -> FourierScalar:
         """Directional derivative of a base scalar."""
-        return _products(f.dim, self._derivative_terms(f, 1))
+        den, rows, _ = self._rows
+        acc: dict = {}
+        for row, part in zip(rows, _partials(f.terms, f.dim)):  # the fiber adds nothing
+            _mul_into(acc, 1, row, part)
+        return FourierScalar(f.dim, *_table(acc, 2 * den * f.den, f.dim))
 
     def lie_bracket(self, o: "VectorField") -> "VectorField":
-        return VectorField(self.cover_dim, tuple(
-            _products(x.dim, self._derivative_terms(y, 1) + o._derivative_terms(x, -1))
-            for x, y in zip(self.components, o.components)))
+        # [X, Y]_k = sum over base j of X_j d_j Y_k - Y_j d_j X_k
+        dim = self.cover_dim - 1
+        (dx, xs, _), (dy, ys, _) = self._rows, o._rows
+        out = []
+        for xk, yk in zip(xs, ys):
+            acc: dict = {}
+            for c, rows, k in ((1, xs, yk), (-1, ys, xk)):
+                for row, part in zip(rows, _partials(k, dim)):
+                    _mul_into(acc, c, row, part)
+            out.append(FourierScalar(dim, *_table(acc, 2 * dx * dy, dim)))
+        return VectorField(self.cover_dim, tuple(out))
 
     def pushforward(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "VectorField":
         """Image under the deck map (x, theta) -> (Ax + b, -theta); for an
@@ -506,7 +545,7 @@ class VectorField:
         d = self.cover_dim - 1
         moved = [f.compose_affine(a_rows, two_b) for f in self.components]
         return VectorField(self.cover_dim, tuple(
-            _lincomb(d, zip(row, moved)) for row in a_rows) + (-moved[d],))
+            FourierScalar(d, *_lincomb(zip(row, moved))) for row in a_rows) + (-moved[d],))
 
 
 def lie_derivative(x: VectorField, w: Form) -> Form:
@@ -519,17 +558,17 @@ def form_primitive(w: Form) -> Form:
     frequency-wise contraction homotopy."""
     if not w.d().is_zero():
         raise ValueError("form is not closed")
-    pieces = []
-    for key, f in w.components:
-        for k, a, b in f.terms:
-            j = next((idx for idx, v in enumerate(k) if v), None)
-            if j is None:
-                raise ValueError("closed form has a constant mode; no primitive exists")
-            if j in key:
-                new, sign = _delete_sign(key, j)
-                # (a cos + b sin) / den is d/dx_j of (-b cos + a sin) / (k_j den)
-                pieces.append((new, sign, _scalar(f.dim, [(k, -b, a)], f.den * k[j])))
-    out = _form(w.cover_dim, pieces)
+    cd, pieces = w.cover_dim, []
+    for key, a, b in w.terms:
+        k = _unpack(key >> cd, cd - 1)
+        j = next((idx for idx, v in enumerate(k) if v), None)
+        if j is None:
+            raise ValueError("closed form has a constant mode; no primitive exists")
+        if key >> j & 1:
+            # (a cos + b sin) / den is d/dx_j of (-b cos + a sin) / (k_j den)
+            s = _sign(key & ((1 << j) - 1))
+            pieces.append((1, Form(cd, *_reduce([(key ^ 1 << j, -s * b, s * a)], w.den * k[j]))))
+    out = Form(cd, *_lincomb(pieces))
     if not (out.d() - w).is_zero():
         raise ValueError("primitive construction failed")
     return out

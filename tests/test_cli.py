@@ -6,7 +6,7 @@ from tdual import catalog, exactalg
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
 from tdual.complexes import MAX_CELLS
-from tdual.courant import MAX_BASE_DIM, standard_contexts
+from tdual.courant import MAX_BASE_DIM, EquivariantContext, standard_contexts
 from tdual.fixtures import klein_fixtures
 from tdual.pipeline import run_fixtures, run_pipeline
 
@@ -214,6 +214,15 @@ def context_file(tmp_path, edit):
     return path
 
 
+def first_frequency(value):
+    """An edit setting the first frequency entry of the potential's waves
+    to +-value."""
+    def edit(obj):
+        for wave in obj["a"][0]["waves"]:
+            wave["freq"][0] = value if wave["freq"][0] > 0 else -value
+    return edit
+
+
 def assert_input_error(capsys, argv, path, reason):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -293,9 +302,20 @@ def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
                          (setter("dim", 10 ** 9), "base dimension must be at most"),
                          (dx([3]), "coordinate index out of range"),
                          (dx([1, 0]), "component keys must be sorted and distinct"),
-                         (dx([1, 1]), "component keys must be sorted and distinct")):
+                         (dx([1, 1]), "component keys must be sorted and distinct"),
+                         (first_frequency(2 ** 31), "frequency entries must be below 2**31")):
         path = context_file(tmp_path, edit)
         assert_input_error(capsys, ["courant-check", str(path)], path, reason)
+
+
+def test_courant_check_rejects_products_past_the_frequency_cap(tmp_path, capsys):
+    """The potential's frequency 2**31 - 1 is within the cap, so the
+    context loads; its products with the sections' waves of frequency 1
+    pass the cap during the checks, which is bad input too."""
+    path = context_file(tmp_path, first_frequency(2 ** 31 - 1))
+    EquivariantContext.from_json_dict(json.loads(path.read_text()))
+    assert_input_error(capsys, ["courant-check", str(path), "--sections", "1"], path,
+                       "frequency entries must be below 2**31")
 
 
 def test_rejected_flux_pair_exits_2_and_failed_check_exits_1(tmp_path, capsys,
