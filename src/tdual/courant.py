@@ -297,29 +297,29 @@ def decompose_section(s: GeneralizedSection, ctx: EquivariantContext):
     return x_base, x_vert, ell, mu
 
 
+def _assemble(ctx: EquivariantContext, x_base: VectorField, vert: FourierScalar,
+              ell: FourierScalar, mu: Form, potential: Form) -> GeneralizedSection:
+    """The section (X, vert, ell, mu) in the split by d theta + ``potential``,
+    the inverse of ``decompose_section`` for that connection."""
+    cd, th = ctx.cover_dim, ctx.theta
+    vec = VectorField(cd, x_base.components[:th]
+                      + (vert - potential.interior(x_base).component(()),))
+    return GeneralizedSection(vec, mu + potential.scale(ell) + Form.dx(cd, th, ell))
+
+
 def phi_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
     """Exchange the vertical vector component with the fiber covector
     component, re-assembling with the dual connection."""
-    cd = ctx.cover_dim
-    th = ctx.theta
-    x_base, x_vert, ell, mu = decompose_section(s, ctx)
-    new_vert = ell - ctx.ahat.interior(x_base).component(())
-    vec = VectorField(cd, x_base.components[:th] + (new_vert,))
-    form = mu + ctx.ahat.scale(x_vert) + Form.dx(cd, th, x_vert)
-    return GeneralizedSection(vec, form)
+    x_base, x, ell, mu = decompose_section(s, ctx)
+    return _assemble(ctx, x_base, ell, x, mu, ctx.ahat)
 
 
 def fiber_inversion(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
     """The section map induced by inverting the fiber circle:
     (X, x, l, mu) |-> (X, -x, -l, mu) in connection-split coordinates.
     It is an involution, and bracket_swap = phi_swap o fiber_inversion."""
-    cd = ctx.cover_dim
-    th = ctx.theta
-    x_base, x_vert, ell, mu = decompose_section(s, ctx)
-    new_vert = -x_vert - ctx.a.interior(x_base).component(())
-    vec = VectorField(cd, x_base.components[:th] + (new_vert,))
-    form = mu - ctx.a.scale(ell) - Form.dx(cd, th, ell)
-    return GeneralizedSection(vec, form)
+    x_base, x, ell, mu = decompose_section(s, ctx)
+    return _assemble(ctx, x_base, -x, -ell, mu, ctx.a)
 
 
 def bracket_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
@@ -332,13 +332,8 @@ def bracket_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedS
     transform on forms, this is the variant that intertwines the brackets
     exactly, while the plain swap is the one compatible with the Clifford
     action under the transform."""
-    cd = ctx.cover_dim
-    th = ctx.theta
-    x_base, x_vert, ell, mu = decompose_section(s, ctx)
-    new_vert = -ell - ctx.ahat.interior(x_base).component(())
-    vec = VectorField(cd, x_base.components[:th] + (new_vert,))
-    form = mu - ctx.ahat.scale(x_vert) - Form.dx(cd, th, x_vert)
-    return GeneralizedSection(vec, form)
+    x_base, x, ell, mu = decompose_section(s, ctx)
+    return _assemble(ctx, x_base, -ell, -x, mu, ctx.ahat)
 
 
 def check_phi_intertwines(s1: GeneralizedSection, s2: GeneralizedSection,
@@ -462,86 +457,41 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     # and forms are canonical tables, so each identity is one equality test.
     brs = [_brackets(a, b, c, f, ctx) for (a, b, c), f in zip(triples, fns)]
 
-    ok = all(br.a_bc == br.ab_c + br.b_ac for br in brs)
-    checks.append(("bracket Leibniz identity over itself", ok))
-
-    ok = all(br.ab.vec == a.vec.lie_bracket(b.vec) for (a, b, _), br in zip(triples, brs))
-    checks.append(("anchor respects brackets", ok))
-
-    ok = True
-    for (a, b, _), f, br in zip(triples, fns, brs):
-        rhs = b.scale(a.vec.apply(f)) + br.ab.scale(f)
-        if br.a_fb != rhs:
-            ok = False
-            break
-    checks.append(("bracket Leibniz rule for function multiples", ok))
-
-    ok = True
-    for (a, b, _), br in zip(triples, brs):
-        target = anchor_d(pairing(a, b).scale(2), cd)
-        if br.ab + br.ba != target:
-            ok = False
-            break
-    checks.append(("symmetrized bracket is the pairing differential", ok))
-
-    ok = True
-    for (a, b, c), br in zip(triples, brs):
-        lhs = a.vec.apply(pairing(b, c))
-        rhs = pairing(br.ab, c) + pairing(b, br.ac)
-        if lhs != rhs:
-            ok = False
-            break
-    checks.append(("anchor differentiates the pairing", ok))
+    checks.append(("bracket Leibniz identity over itself",
+                   all(br.a_bc == br.ab_c + br.b_ac for br in brs)))
+    checks.append(("anchor respects brackets",
+                   all(br.ab.vec == a.vec.lie_bracket(b.vec) for (a, b, _), br in zip(triples, brs))))
+    checks.append(("bracket Leibniz rule for function multiples",
+                   all(br.a_fb == b.scale(a.vec.apply(f)) + br.ab.scale(f)
+                       for (a, b, _), f, br in zip(triples, fns, brs))))
+    checks.append(("symmetrized bracket is the pairing differential",
+                   all(br.ab + br.ba == anchor_d(pairing(a, b).scale(2), cd)
+                       for (a, b, _), br in zip(triples, brs))))
+    checks.append(("anchor differentiates the pairing",
+                   all(a.vec.apply(pairing(b, c)) == pairing(br.ab, c) + pairing(b, br.ac)
+                       for (a, b, c), br in zip(triples, brs))))
 
     forms = [random_form(rng, ctx, deg, invariant=True)
              for deg in (0, 1, 2) for _ in range(max(1, sections // 3))]
-    ok = all(_derived_bracket_holds(br.ab, a, b, w, ctx)
-             for (a, b, _), br, w in zip(triples, brs, forms))
-    checks.append(("derived-bracket identity", ok))
-
-    ok = all((twisted_d(twisted_d(w, ctx), ctx)).is_zero() for w in forms)
-    checks.append(("twisted differential squares to zero", ok))
-
-    ok = True
-    for a, b, _ in triples:
-        pa, pb = phi_swap(a, ctx), phi_swap(b, ctx)
-        if pairing(pa, pb) != pairing(a, b):
-            ok = False
-            break
-        back = phi_swap(pa, ctx.dual())
-        if back != a:
-            ok = False
-            break
-    checks.append(("swap preserves the pairing and is an involution", ok))
-
-    ok = all(_swap_intertwines(br.ab, br.swapped, ctx) for br in brs)
-    checks.append(("swap intertwines the brackets", ok))
-
-    ok = True
-    for (a, _, _), w in zip(triples, forms):
-        lhs = hori_forms(clifford(a, w), ctx)
-        rhs = clifford(phi_swap(a, ctx), hori_forms(w, ctx)).scale_rat(-1)
-        if lhs != rhs:
-            ok = False
-            break
-    checks.append(("transform anti-commutes with the Clifford action", ok))
-
-    ok = True
-    for w in forms:
-        lhs = hori_forms(twisted_d(w, ctx, "E"), ctx)
-        rhs = twisted_d(hori_forms(w, ctx), ctx, "Ehat").scale_rat(-1)
-        if lhs != rhs:
-            ok = False
-            break
-    checks.append(("transform anti-commutes with the twisted differential", ok))
-
-    ok = True
-    for w in forms:
-        round_trip = hori_forms(hori_forms(w, ctx), ctx.dual())
-        if round_trip != -w:
-            ok = False
-            break
-    checks.append(("reverse transform inverts with a sign", ok))
+    checks.append(("derived-bracket identity",
+                   all(_derived_bracket_holds(br.ab, a, b, w, ctx)
+                       for (a, b, _), br, w in zip(triples, brs, forms))))
+    checks.append(("twisted differential squares to zero",
+                   all(twisted_d(twisted_d(w, ctx), ctx).is_zero() for w in forms)))
+    checks.append(("swap preserves the pairing and is an involution",
+                   all(pairing(pa := phi_swap(a, ctx), phi_swap(b, ctx)) == pairing(a, b)
+                       and phi_swap(pa, ctx.dual()) == a for a, b, _ in triples)))
+    checks.append(("swap intertwines the brackets",
+                   all(_swap_intertwines(br.ab, br.swapped, ctx) for br in brs)))
+    checks.append(("transform anti-commutes with the Clifford action",
+                   all(hori_forms(clifford(a, w), ctx)
+                       == clifford(phi_swap(a, ctx), hori_forms(w, ctx)).scale_rat(-1)
+                       for (a, _, _), w in zip(triples, forms))))
+    checks.append(("transform anti-commutes with the twisted differential",
+                   all(hori_forms(twisted_d(w, ctx, "E"), ctx)
+                       == twisted_d(hori_forms(w, ctx), ctx, "Ehat").scale_rat(-1) for w in forms)))
+    checks.append(("reverse transform inverts with a sign",
+                   all(hori_forms(hori_forms(w, ctx), ctx.dual()) == -w for w in forms)))
 
     return CourantReport(label or f"T^{ctx.base_dim} double cover", checks)
 

@@ -799,46 +799,45 @@ def _group(n_mid: int, s_in: _Smith, s_out: _Smith) -> FGAbelianGroup:
 
 
 def _generators(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
-    """``homology_at(d_in, d_out)`` with its generators and class_of built:
+    """``homology_at(d_in, d_out)`` with its generators and class_of built
+    from two factorizations, d_in's and M's below (Kaczynski, Mischaikow,
+    Mrozek, *Computational Homology*, ch. 3):
 
-    - With L d_in R = D of rank r, the columns u_i = d_in R e_i / d_i
-      (i < r) of L^-1 span the saturation of im(d_in), and the d_i u_i
-      span im(d_in).  The torsion generators are the u_i with d_i > 1;
-      the coordinates of x are (L x)_i mod d_i.
-    - ker(d_out) holds every u_i, so in the coordinates y = L x it is
-      Z^r (+) the column lattice of N = (L K)[r:], K a kernel basis of
-      d_out.  That lattice is saturated, so the Smith form L_N N R_N has a
-      unit diagonal of length f, the Betti number.  The free generators
-      are the K R_N e_l (l < f) less their torsion components, with
-      coordinates (L_N y[r:])[:f].
+    - With L d_in R = D of rank r and y = L x, im(d_in) is spanned by the
+      d_i e_i (i < r).  As d_out d_in = 0, d_out L^-1 = [0 | M] (M = d_out
+      when d_in is zero, as L = 1 then).
+    - With L_M M R_M = D_M of rank s and z = R_M^-1 y[r:], d_out x = 0
+      exactly when z[:s] = 0.  The free generators are the L^-1 (0, R_M e_l)
+      (l >= s), with coordinates z[s:]; the torsion ones the L^-1 e_i with
+      d_i > 1, with coordinates y_i mod d_i.
     """
     n_mid = d_in.rows
     s_in = _smith(d_in)
     r = s_in.rank
     tors = [(i, d) for i, d in enumerate(s_in.diag[:r]) if d > 1]
-    units = [tuple(v // d for v in d_in.mul_vec(col))
-             for (_, d), col in zip(tors, s_in.right(_units([i for i, _ in tors])))]
-    kernel = _smith(d_out).kernel_columns()
-    lines = _apply(s_in._row_log, n_mid, [_pairs(k) for k in kernel], False, False)  # L K
-    s_free = _Smith(IntMatrix.from_nonzeros(lines[r:], len(kernel)))
-    f = s_free.rank
-    reps = []
-    for col in s_free.right(_units(range(f))):
-        rep = _combine(enumerate(col), kernel, n_mid)
-        # the torsion components of rep: (L rep)_i = sum over k of (L K)_ik col_k
-        l_rep = [sum(x * col[k] for k, x in lines[i].items()) for i, _ in tors]
-        reps.append(tuple(_combine(enumerate([1] + [-y for y in l_rep]), [rep] + units, n_mid)))
+    if r:  # line j of L^-T d_out^T is column j of d_out L^-1
+        m_cols = _apply(s_in._row_log, n_mid, d_out.nonzeros, True, True)[r:]
+        s_m = _Smith(IntMatrix.from_nonzeros(m_cols, d_out.rows).transpose())
+    else:
+        s_m = _smith(d_out)
+    n_m, s = n_mid - r, s_m.rank
+    free = [[] for _ in range(s, n_m)]  # the (0, R_M e_l) as (index, value) pairs
+    for i, line in enumerate(_apply(s_m._col_log, n_m, _units(range(s, n_m)), True, False)):
+        for k, x in line.items():
+            free[k].append((r + i, x))
+    reps = _vectors(_apply(s_in._row_log, n_mid, free + _units([i for i, _ in tors]), False, True),
+                    len(free) + len(tors))
 
     def class_of(cycle: Sequence[int]) -> tuple[int, ...]:
         if len(cycle) != n_mid:
             raise ValueError("cycle has wrong length")
-        if any(d_out.mul_vec(cycle)):
-            raise ValueError("not a cycle")
         y, = s_in.left([_pairs(cycle)])
-        return tuple(s_free.left([_pairs(y[r:])])[0][:f]) + tuple(y[i] % d for i, d in tors)
+        z = _apply(s_m._col_log, n_m, [_pairs(y[r:])], True, True)
+        if any(z[:s]):
+            raise ValueError("not a cycle")
+        return tuple(line.get(0, 0) for line in z[s:]) + tuple(y[i] % d for i, d in tors)
 
-    group = FGAbelianGroup(f, tuple(d for _, d in tors))
-    return GroupData(group, tuple(reps) + tuple(units), class_of)
+    return GroupData(FGAbelianGroup(n_m - s, tuple(d for _, d in tors)), reps, class_of)
 
 
 def homology_at_mod(d_in: IntMatrix, d_out: IntMatrix, m: int) -> GroupData:

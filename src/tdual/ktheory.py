@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Union
 
 from .bundles import BundleDescriptor, TotalCochain, TotalComplex, pullback_cup
@@ -216,19 +216,8 @@ def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup) -> tuple[FGA
     """All isomorphism types of abelian extensions of quot by sub;
     ``ValueError`` when there are more than 512 extension classes to try."""
     rs, ts = sub.free_rank, list(sub.torsion)
-    ranges = []
-    for d in quot.torsion:
-        per_gen = []
-        for _ in range(rs):
-            per_gen.append(d)
-        for e in ts:
-            per_gen.append(gcd(d, e))
-        ranges.append(per_gen)
-    total = 1
-    for per_gen in ranges:
-        for r in per_gen:
-            total *= r
-    if total > 512:
+    ranges = [[d] * rs + [gcd(d, e) for e in ts] for d in quot.torsion]
+    if prod(map(prod, ranges)) > 512:
         raise ValueError("extension enumeration too large")
 
     n_sub = rs + len(ts)
@@ -236,7 +225,7 @@ def enumerate_extensions(quot: FGAbelianGroup, sub: FGAbelianGroup) -> tuple[FGA
     seen = set()
     out = []
     choice_spaces = [list(product(*[range(r) for r in per_gen])) for per_gen in ranges]
-    for combo in product(*choice_spaces) if ranges else [()]:
+    for combo in product(*choice_spaces):
         rows = [{rs + i: e} for i, e in enumerate(ts)]
         for qi, coeffs in enumerate(combo):
             row = {si: -c for si, c in enumerate(coeffs)}

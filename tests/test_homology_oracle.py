@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homology_reference as ref
-from tdual import catalog
+from tdual import catalog, exactalg
 from tdual.bundles import BundleDescriptor, TotalComplex
 from tdual.complexes import ChainComplex, cochain_complex
 from tdual.exactalg import (
@@ -179,6 +179,39 @@ def test_catalog_complexes_match_reference(case):
     corr = CorrespondenceComplex(bundle, ehat)
     check_complex(ChainComplex(("oracle-corr", bundle, ehat), x.dimension + 2, corr.delta_matrix),
                   seen)
+
+
+def test_generators_factor_nothing_taller_than_d_out(monkeypatch):
+    """Generators read d_in's Smith form and one of a matrix with d_out's
+    rows, never a kernel basis of d_out as tall as the middle term: every
+    matrix factored while the generators of every degree of the total
+    models of sigma(8) at j = 1 are built has at most d_out.rows rows."""
+    info = catalog.sigma(8)
+    bundle = catalog.build_bundle(info, info.xi(), 1)
+    factored, limit = [], []
+    init, generators = exactalg._Smith.__init__, exactalg._generators
+
+    def watched_init(self, a):
+        if limit:
+            factored.append((a.rows, a.cols, limit[-1]))
+        init(self, a)
+
+    def watched_generators(d_in, d_out):
+        limit.append(d_out.rows)
+        try:
+            return generators(d_in, d_out)
+        finally:
+            limit.pop()
+
+    monkeypatch.setattr(exactalg._Smith, "__init__", watched_init)
+    monkeypatch.setattr(exactalg, "_generators", watched_generators)
+    for zeta in (None, bundle.xi):
+        cx = TotalComplex(bundle, zeta).chain
+        for k in range(cx.dim + 1):
+            h = homology_at(cx.delta(k - 1), cx.delta(k))  # the group, off cached Smith forms
+            assert len(h.representatives) == h.group.free_rank + len(h.group.torsion)
+    assert factored  # the generators did factor something
+    assert [f for f in factored if f[0] > f[2]] == []
 
 
 def matrix(rows, n_rows, n_cols):
