@@ -24,7 +24,7 @@ from typing import Any, Callable
 from .bundles import BundleDescriptor, total_cohomology
 from .catalog import OutOfRange
 from .complexes import BaseMismatch, DeltaComplex, LocalSystem, cohomology
-from .courant import EquivariantContext, run_context_checks
+from .courant import MAX_SECTIONS, EquivariantContext, run_context_checks
 from .fixtures import all_fixtures
 from .fourier import FrequencyOverflow
 from .ktheory import TwistClass, ahss_k_groups
@@ -140,6 +140,8 @@ def cmd_tables(args) -> int:
 def cmd_courant_check(args) -> int:
     if args.sections < 1:
         raise InputError(f"--sections must be at least 1, not {args.sections}")
+    if args.sections > MAX_SECTIONS:
+        raise InputError(f"--sections must be at most {MAX_SECTIONS}, not {args.sections}")
     ctx = _load(args.context, EquivariantContext.from_json_dict)
     try:
         report = run_context_checks(ctx, sections=args.sections, seed=args.seed)

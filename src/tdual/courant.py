@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import NamedTuple
 
 from .complexes import json_int
-from .fourier import Form, FourierScalar, VectorField, form_primitive, lie_derivative
+from .fourier import Form, FourierScalar, VectorField, form_primitive
 
 
 def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
@@ -33,6 +33,10 @@ def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
 # 0.35-0.5 s and 22 MB over T^4 and 6-9 s and 75 MB over T^8 (Python 3.11,
 # one core of a shared 2-CPU x86-64 host).
 MAX_BASE_DIM = 4
+# The most sections one run checks: its time and memory grow linearly with
+# them, and on the T^4 context above 512 sections take 11-13 s and 163-176
+# MB (about 0.3 MB a section; same host).
+MAX_SECTIONS = 512
 
 
 def _check_base_dim(d: int) -> None:
@@ -99,7 +103,7 @@ class EquivariantContext:
         return v.pushforward(self.deck_a, self.deck_two_b)
 
     def connection(self) -> Form:
-        return Form.dx(self.cover_dim, self.theta) + self.a
+        return self._connection
 
     def curvature(self) -> Form:
         return self.a.d()
@@ -113,8 +117,16 @@ class EquivariantContext:
     def dual(self) -> "EquivariantContext":
         return self._dual
 
-    # Built once per context: every bracket reads the flux, and the dual
-    # side's checks would otherwise re-validate a fresh mirror each time.
+    # Built once per context: the brackets read the flux, the transforms the
+    # connections and fibre field; a fresh dual would re-validate each time.
+    @cached_property
+    def _connection(self) -> Form:
+        return Form.dx(self.cover_dim, self.theta) + self.a
+
+    @cached_property
+    def _fibre(self) -> VectorField:
+        return VectorField.coordinate(self.cover_dim, self.theta)
+
     @cached_property
     def _flux_h(self) -> Form:
         return self.h3 + self.connection().wedge(self.flux_fhat())
@@ -200,6 +212,21 @@ class GeneralizedSection:
     def is_zero(self) -> bool:
         return self.vec.is_zero() and self.form.is_zero()
 
+    # Kept for the brackets: d of the form part, and d lambda - i_X H per side.
+    @cached_property
+    def _d_form(self) -> Form:
+        return self.form.d()
+
+    @cached_property
+    def _flux_terms(self) -> dict:
+        return {}
+
+    def _flux_term(self, ctx: "EquivariantContext") -> Form:
+        """d lambda - i_X H for the flux of ``ctx``, kept by id (the entry holds ``ctx``)."""
+        if id(ctx) not in self._flux_terms:
+            self._flux_terms[id(ctx)] = ctx, self._d_form - ctx.flux_h().interior(self.vec)
+        return self._flux_terms[id(ctx)][1]
+
 
 def section_is_invariant(s: GeneralizedSection, ctx: EquivariantContext) -> bool:
     ok_v = all((a - b).is_zero() for a, b in
@@ -220,12 +247,11 @@ def project_section(s: GeneralizedSection, ctx: EquivariantContext) -> Generaliz
 
 def dorfman(s1: GeneralizedSection, s2: GeneralizedSection,
             ctx: EquivariantContext) -> GeneralizedSection:
-    """[ (X, l), (Y, m) ]_H = ([X, Y], L_X m - i_Y d l + i_Y i_X H), with H
-    the flux of ``ctx``; pass ``ctx.dual()`` for the dual side's bracket."""
-    h = ctx.flux_h()
-    x, lam = s1.vec, s1.form
-    y, mu = s2.vec, s2.form
-    form = lie_derivative(x, mu) - lam.d().interior(y) + h.interior(x).interior(y)
+    """[ (X, l), (Y, m) ]_H = ([X, Y], L_X m - i_Y d l + i_Y i_X H), with H the
+    flux of ``ctx`` (pass ``ctx.dual()`` for the dual side's bracket); the form
+    part is i_X dm + d(i_X m) - i_Y (dl - i_X H), dm and dl - i_X H kept per section."""
+    x, y = s1.vec, s2.vec
+    form = s2._d_form.interior(x) + s2.form.interior(x).d() - s1._flux_term(ctx).interior(y)
     return GeneralizedSection(x.lie_bracket(y), form)
 
 
@@ -273,8 +299,9 @@ def _derived_bracket_holds(bracket: GeneralizedSection, s1: GeneralizedSection,
     h = ctx.flux_h()
     lhs = clifford(bracket, w)
     dh = lambda u: u.d() - h.wedge(u)
-    rhs = (dh(clifford(s1, clifford(s2, w)))
-           + clifford(s1, dh(clifford(s2, w)))
+    s2w = clifford(s2, w)
+    rhs = (dh(clifford(s1, s2w))
+           + clifford(s1, dh(s2w))
            - clifford(s2, dh(clifford(s1, w)))
            - clifford(s2, clifford(s1, dh(w))))
     return lhs == rhs
@@ -340,26 +367,16 @@ def check_phi_intertwines(s1: GeneralizedSection, s2: GeneralizedSection,
                           ctx: EquivariantContext) -> bool:
     """bracket_swap([s1, s2]_H) = [bracket_swap(s1), bracket_swap(s2)]_Hhat,
     exactly."""
-    return _swap_intertwines(
-        dorfman(s1, s2, ctx),
-        dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx), ctx.dual()), ctx)
-
-
-def _swap_intertwines(bracket: GeneralizedSection, swapped: GeneralizedSection,
-                      ctx: EquivariantContext) -> bool:
-    """``check_phi_intertwines`` given [s1, s2]_H and, as ``swapped``, the
-    dual-side bracket of the swapped pair."""
-    return bracket_swap(bracket, ctx) == swapped
+    return (bracket_swap(dorfman(s1, s2, ctx), ctx)
+            == dorfman(bracket_swap(s1, ctx), bracket_swap(s2, ctx), ctx.dual()))
 
 
 def hori_forms(w: Form, ctx: EquivariantContext) -> Form:
     """Componentwise transform: w = alpha + A ^ beta goes to
     beta - Ahat ^ alpha on the dual side."""
-    th = VectorField.coordinate(ctx.cover_dim, ctx.theta)
-    beta = w.interior(th)
+    beta = w.interior(ctx._fibre)
     alpha = w - ctx.connection().wedge(beta)
-    ahat_conn = ctx.dual().connection()
-    return beta - ahat_conn.wedge(alpha)
+    return beta - ctx.dual().connection().wedge(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +458,11 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
                        seed: int = 7, label: str = "") -> CourantReport:
     """All bracket axioms, the derived-bracket identity, the swap
     intertwiner and the form-level transform identities on random data;
-    ``ValueError`` unless ``sections`` is positive."""
+    ``ValueError`` unless ``sections`` is from 1 to ``MAX_SECTIONS``."""
     if sections < 1:
         raise ValueError(f"sections must be at least 1, not {sections}")
+    if sections > MAX_SECTIONS:
+        raise ValueError(f"sections must be at most {MAX_SECTIONS}, not {sections}")
     rng = random.Random(seed)
     cd = ctx.cover_dim
     checks = []
@@ -456,6 +475,10 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     # Each distinct bracket is computed once; every check reads these.  Scalars
     # and forms are canonical tables, so each identity is one equality test.
     brs = [_brackets(a, b, c, f, ctx) for (a, b, c), f in zip(triples, fns)]
+    # The other values that two checks read, each computed on first use.
+    swap = cache(lambda s: phi_swap(s, ctx))
+    hori = cache(lambda w: hori_forms(w, ctx))
+    d_h = cache(lambda w: twisted_d(w, ctx))
 
     checks.append(("bracket Leibniz identity over itself",
                    all(br.a_bc == br.ab_c + br.b_ac for br in brs)))
@@ -477,21 +500,20 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
                    all(_derived_bracket_holds(br.ab, a, b, w, ctx)
                        for (a, b, _), br, w in zip(triples, brs, forms))))
     checks.append(("twisted differential squares to zero",
-                   all(twisted_d(twisted_d(w, ctx), ctx).is_zero() for w in forms)))
+                   all(twisted_d(d_h(w), ctx).is_zero() for w in forms)))
     checks.append(("swap preserves the pairing and is an involution",
-                   all(pairing(pa := phi_swap(a, ctx), phi_swap(b, ctx)) == pairing(a, b)
+                   all(pairing(pa := swap(a), swap(b)) == pairing(a, b)
                        and phi_swap(pa, ctx.dual()) == a for a, b, _ in triples)))
     checks.append(("swap intertwines the brackets",
-                   all(_swap_intertwines(br.ab, br.swapped, ctx) for br in brs)))
+                   all(bracket_swap(br.ab, ctx) == br.swapped for br in brs)))
     checks.append(("transform anti-commutes with the Clifford action",
-                   all(hori_forms(clifford(a, w), ctx)
-                       == clifford(phi_swap(a, ctx), hori_forms(w, ctx)).scale_rat(-1)
+                   all(hori_forms(clifford(a, w), ctx) == clifford(swap(a), hori(w)).scale_rat(-1)
                        for (a, _, _), w in zip(triples, forms))))
     checks.append(("transform anti-commutes with the twisted differential",
-                   all(hori_forms(twisted_d(w, ctx, "E"), ctx)
-                       == twisted_d(hori_forms(w, ctx), ctx, "Ehat").scale_rat(-1) for w in forms)))
+                   all(hori_forms(d_h(w), ctx)
+                       == twisted_d(hori(w), ctx, "Ehat").scale_rat(-1) for w in forms)))
     checks.append(("reverse transform inverts with a sign",
-                   all(hori_forms(hori_forms(w, ctx), ctx.dual()) == -w for w in forms)))
+                   all(hori_forms(hori(w), ctx.dual()) == -w for w in forms)))
 
     return CourantReport(label or f"T^{ctx.base_dim} double cover", checks)
 

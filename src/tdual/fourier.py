@@ -124,8 +124,10 @@ class FourierScalar:
 
     def compose_affine(self, a_rows: Sequence[Sequence[int]],
                        two_b: Sequence[int]) -> "FourierScalar":
-        """f(A x + b) with 2b integral, the pullback of the 0-form f."""
-        return Form.scalar(self.dim + 1, self).pullback(a_rows, two_b).component(())
+        """f(A x + b) with 2b integral."""
+        acc: dict = {}
+        _add(acc, 1, _affine_terms(self.terms, self.dim, a_rows, two_b))
+        return FourierScalar(self.dim, *_table(acc, self.den))
 
     def constant_term(self) -> Fraction:
         if self.terms and not self.terms[0][0]:
@@ -290,6 +292,23 @@ def _partials(terms: Sequence[Term], dim: int, shift: int = 0) -> list[list[Term
     return out
 
 
+def _affine_terms(terms: Sequence[Term], dim: int, a_rows: Sequence[Sequence[int]],
+                  two_b: Sequence[int], shift: int = 0) -> Iterable[Term]:
+    """The terms of f(A x + b), 2b integral, unmerged, for f's ``terms`` with
+    keys k << ``shift``: kA flipped into the upper half, phases times (-1)^(k.2b)."""
+    cols = list(zip(*a_rows))
+    for key, a, b in terms:
+        k = _unpack(key >> shift, dim)
+        if sum(map(mul, k, two_b)) % 2:
+            a, b = -a, -b
+        p = _pack([sum(map(mul, k, col)) for col in cols])
+        if p < 0:
+            p, b = -p, -b
+        elif not p:
+            b = 0
+        yield p << shift, a, b
+
+
 def _wave(freq: Sequence[int], amp: Rat, sine: bool) -> FourierScalar:
     """amp * cos(2pi k.x) or amp * sin(2pi k.x), k flipped into the upper half."""
     k = [int(v) for v in freq]
@@ -435,24 +454,15 @@ class Form:
     def pullback(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "Form":
         """Pullback along (x, theta) -> (Ax + b, -theta): dx_i goes to
         sum_j A_ij dx_j and dtheta to -dtheta."""
-        cd, acc, images = self.cover_dim, {}, {}
+        cd, acc = self.cover_dim, {}
         rows = [[(j, a) for j, a in enumerate(row) if a] for row in a_rows] + [[(cd - 1, -1)]]
-        for m in self._groups():  # signed by the permutation that sorts the new indices
-            images[m] = [(_mask(js), (-1) ** sum(i > j for i, j in combinations(js, 2))
-                          * prod(a for _, a in choice))
-                         for choice in product(*(rows[i] for i in _key(m)))
-                         for js in [[j for j, _ in choice]] if len(set(js)) == len(js)]
-        cols = list(zip(*a_rows))
-        for key, a, b in self.terms:  # frequency k goes to kA, phases to signs
-            k = _unpack(key >> cd, cd - 1)
-            if sum(map(mul, k, two_b)) % 2:
-                a, b = -a, -b
-            p = _pack([sum(map(mul, k, col)) for col in cols])
-            if p < 0:
-                p, b = -p, -b
-            elif not p:
-                b = 0
-            _add(acc, 1, [(p << cd | m, c * a, c * b) for m, c in images[key & ((1 << cd) - 1)]])
+        for m, t in self._groups().items():  # signed by the permutation that sorts the new indices
+            image = [(_mask(js), (-1) ** sum(i > j for i, j in combinations(js, 2))
+                      * prod(a for _, a in choice))
+                     for choice in product(*(rows[i] for i in _key(m)))
+                     for js in [[j for j, _ in choice]] if len(set(js)) == len(js)]
+            _add(acc, 1, [(key | m2, c * a, c * b) for key, a, b in
+                          _affine_terms(t, cd - 1, a_rows, two_b, cd) for m2, c in image])
         return Form(cd, *_table(acc, self.den))
 
     def to_json_list(self) -> list:

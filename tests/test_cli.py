@@ -6,7 +6,7 @@ from tdual import catalog, exactalg
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
 from tdual.complexes import MAX_CELLS
-from tdual.courant import MAX_BASE_DIM, EquivariantContext, standard_contexts
+from tdual.courant import MAX_BASE_DIM, MAX_SECTIONS, EquivariantContext, standard_contexts
 from tdual.fixtures import klein_fixtures
 from tdual.pipeline import run_fixtures, run_pipeline
 
@@ -272,6 +272,18 @@ def test_courant_check_rejects_a_non_positive_section_count(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --sections must be at least 1, not {count}\n"
+
+
+def test_courant_check_rejects_a_section_count_above_the_cap(tmp_path, capsys):
+    """Checked before the context is read: the file need not exist."""
+    count = MAX_SECTIONS + 1
+    assert main(["courant-check", str(tmp_path / "missing.json"), "--sections", str(count)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --sections must be at most {MAX_SECTIONS}, not {count}\n"
+    path = context_file(tmp_path, lambda obj: None)
+    assert main(["courant-check", str(path), "--sections", str(count)]) == 2
+    assert capsys.readouterr().err == captured.err
 
 
 def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):

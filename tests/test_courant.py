@@ -336,6 +336,14 @@ def test_context_checks_need_a_section(sections):
         run_context_checks(flux_context(), sections=sections)
 
 
+def test_context_checks_cap_the_section_count(monkeypatch):
+    """The cap is checked before any section is drawn."""
+    monkeypatch.setattr(courant, "random_section", None)
+    with pytest.raises(ValueError, match=f"sections must be at most {courant.MAX_SECTIONS}, "
+                                         f"not {courant.MAX_SECTIONS + 1}"):
+        run_context_checks(flux_context(), sections=courant.MAX_SECTIONS + 1)
+
+
 def test_each_bracket_is_computed_once_per_run(monkeypatch):
     """Nine distinct brackets per section triple: [b,c], [a,[b,c]], [a,b],
     [[a,b],c], [a,c], [b,[a,c]], [a,f b], [b,a] and the dual-side bracket
@@ -351,6 +359,46 @@ def test_each_bracket_is_computed_once_per_run(monkeypatch):
         calls.clear()
         assert run_context_checks(ctx, sections=3, seed=7, label=name).ok
         assert len(calls) == 27
+
+
+def test_shared_values_are_computed_once_per_run(monkeypatch):
+    """Per run at three sections: one transform of each of the three forms,
+    of its twisted differential, of its Clifford product and back, so 12;
+    one twisted differential of each form, of that and of its transform, so
+    9; one swap of each of a and b per triple and one back, so 9; and still
+    the 27 brackets."""
+    calls = {name: 0 for name in ("hori_forms", "twisted_d", "phi_swap", "dorfman")}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(courant, name, counted(name, getattr(courant, name)))
+    for name, ctx in standard_contexts():
+        calls.update(dict.fromkeys(calls, 0))
+        assert run_context_checks(ctx, sections=3, seed=7, label=name).ok
+        assert calls == {"hori_forms": 12, "twisted_d": 9, "phi_swap": 9, "dorfman": 27}, name
+
+
+def test_scalar_pullbacks_build_no_form(monkeypatch):
+    """compose_affine maps the frequencies directly instead of pulling a
+    form back, as k -> kA: over a deck with A != A^T, f(x0, x1) = cos(2pi x1)
+    + sin(2pi x0) goes to cos(2pi (x0 - x1)) - sin(2pi x0)."""
+    ctx = curved_context()
+    f = FourierScalar.cos_wave((1, 2), 3) + FourierScalar.sin_wave((2, -1))
+    expected = Form.scalar(CD, f).pullback(ctx.deck_a, ctx.deck_two_b).component(())
+    g = FourierScalar.cos_wave((0, 1)) + FourierScalar.sin_wave((1, 0))
+
+    def refuse(*args):
+        raise AssertionError("Form.pullback called")
+
+    monkeypatch.setattr(Form, "pullback", refuse)
+    assert f.compose_affine(ctx.deck_a, ctx.deck_two_b) == expected
+    assert (g.compose_affine(((1, 0), (1, -1)), (1, 0))
+            == FourierScalar.cos_wave((1, -1)) + FourierScalar.sin_wave((1, 0), -1))
 
 
 def test_checks_read_the_bracket_they_are_given(monkeypatch):
