@@ -385,15 +385,10 @@ def hori_forms(w: Form, ctx: EquivariantContext) -> Form:
 
 def random_scalar(rng: random.Random, base_dim: int) -> FourierScalar:
     """A constant plus two waves of frequencies within 1."""
-    out = FourierScalar.const(base_dim, Fraction(rng.randint(-2, 2)))
-    for _ in range(2):
-        freq = tuple(rng.randint(-1, 1) for _ in range(base_dim))
-        amp = Fraction(rng.randint(-2, 2))
-        if rng.random() < 0.5:
-            out = out + FourierScalar.cos_wave(freq, amp)
-        else:
-            out = out + FourierScalar.sin_wave(freq, amp)
-    return out
+    const = rng.randint(-2, 2)
+    waves = [(tuple(rng.randint(-1, 1) for _ in range(base_dim)), rng.randint(-2, 2),
+              rng.random() >= 0.5) for _ in range(2)]
+    return FourierScalar.wave_sum(base_dim, const, waves)
 
 
 def random_form(rng: random.Random, ctx: EquivariantContext, degree: int,

@@ -222,12 +222,15 @@ class _Smith:
 
     ``A = Linv * D * Rinv`` with ``Linv``, ``Rinv`` unimodular.  Pivoting
     is deterministic.  ``_unit_pivots`` first eliminates the +-1 pivots,
-    fewest rows first; the loop below then takes, in the core left over,
-    which holds no +-1, the entry of minimal absolute value, ties broken by
-    lowest (row, col).  Both eliminate by ``_eliminate``, whose
-    nearest-integer quotients take fewer steps than the floor (Knuth,
-    TAOCP vol. 2, 4.5.3).  D is unique; L, R and the generators read off
-    them follow the pivot order.
+    fewest rows first; the loop below then works on the core left over,
+    which holds no +-1.  It scans the core for its entry of minimal
+    absolute value, ties to the lowest (row, col), only to start a pivot;
+    while a Euclid round leaves remainders, the next pivot is the least of
+    them, in the pivot's column while it has any (ties to the lowest row),
+    else in its row (ties to the lowest column) (Cohen, GTM 138, 2.4.4).
+    Both eliminate by ``_eliminate``, whose nearest-integer quotients take
+    fewer steps than the floor (Knuth, TAOCP vol. 2, 4.5.3).  D is unique;
+    L, R and the generators read off them follow the pivot order.
 
     A block-triangular matrix that ``block_matrix`` records (a cone,
     D_even) starts instead from its diagonal blocks' cached factorizations
@@ -278,19 +281,24 @@ class _Smith:
         pivots = _unit_pivots(A, rows_of, row_log, col_log, units)
         done = {i for i, _ in pivots}
         active = [i for i, row in enumerate(A) if row and i not in done]
-        while (found := _find_pivot(A, active)) is not None:
+        found = _find_pivot(A, active)
+        while found is not None:
             i, j = found
             if not _eliminate(A, rows_of, i, j, row_log, col_log):
-                continue  # a smaller remainder appeared; re-pivot
+                col = rows_of[j]  # pivot on the least remainder the round made
+                found = ((min((abs(A[k][j]), k) for k in col)[1], j) if len(col) > 1
+                         else (i, min((abs(x), l) for l, x in A[i].items() if l != j)[1]))
+                continue
             p = A[i][j]
             bad = next((k for k in active if k != i and any(x % p for x in A[k].values())),
                        None) if abs(p) > 1 else None
             if bad is not None:  # enforce divisibility: row i += row bad, re-pivot
                 _add_row(A[i], 1, A[bad], rows_of, i)
                 row_log += (i, bad, 1)
-                continue
-            active.remove(i)
-            pivots.append((i, j))
+            else:
+                active.remove(i)
+                pivots.append((i, j))
+            found = _find_pivot(A, active)
         self.diag = _place(A, pivots, m, n, row_log, col_log)
         self.rank = len(pivots)
         self._row_log = _pack(row_log)

@@ -11,9 +11,10 @@ first most significant: k1 +- k2 is an int sum, the upper half is the
 positive ints and int order is lexicographic.  Entries are capped at
 |k_i| < 2**31, so a sum of two is exact; ``FrequencyOverflow`` (a
 ``ValueError``) is raised where a frequency enters (``cos_wave``,
-``sin_wave``, ``from_json_list``) and where it grows (``compose_affine``
-and each product's output).  A form on T^{d+1}, fiber angle last, is one
-such table with keys packed frequency << cover_dim | coordinate mask.
+``sin_wave``, ``wave_sum``, ``from_json_list``) and where it grows
+(``compose_affine`` and each product's output).  A form on T^{d+1},
+fiber angle last, is one such table with keys packed frequency <<
+cover_dim | coordinate mask.
 Each form operation is one pass into one accumulator and one reduction
 (``_table``), with signs from bit counts; ``_mul_into`` is the one
 product kernel.  The JSON schema is the Gaussian full spectrum, one
@@ -98,6 +99,18 @@ class FourierScalar:
     @staticmethod
     def sin_wave(freq: Sequence[int], amp: Rat = 1) -> "FourierScalar":
         return _wave(freq, amp, True)
+
+    @staticmethod
+    def wave_sum(dim: int, const: int, waves: Iterable[tuple[Sequence[int], int, bool]],
+                 den: int = 1) -> "FourierScalar":
+        """(const plus amp * sin(2pi k.x) (``sine``) or amp * cos(2pi k.x)
+        over the (k, amp, sine) in ``waves``) / den, integer numerators, as
+        one table with one reduction; k is flipped into the upper half."""
+        acc = {0: [const, 0]}
+        for freq, amp, sine in waves:
+            p = _pack(freq)  # sine is odd, and zero at k = 0
+            _add(acc, amp, [(abs(p), 0, (p > 0) - (p < 0)) if sine else (abs(p), 1, 0)])
+        return FourierScalar(dim, *_table(acc, den))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -310,14 +323,9 @@ def _affine_terms(terms: Sequence[Term], dim: int, a_rows: Sequence[Sequence[int
 
 
 def _wave(freq: Sequence[int], amp: Rat, sine: bool) -> FourierScalar:
-    """amp * cos(2pi k.x) or amp * sin(2pi k.x), k flipped into the upper half."""
-    k = [int(v) for v in freq]
-    p, amp = _pack(k), Fraction(amp)
-    n = amp.numerator
-    if sine:  # odd, and zero at k = 0
-        n *= (p > 0) - (p < 0)
-    term = (abs(p), 0, n) if sine else (abs(p), n, 0)
-    return FourierScalar(len(k), *_reduce([term] if n else [], amp.denominator))
+    """amp * cos(2pi k.x), or amp * sin(2pi k.x) when ``sine``."""
+    k, amp = [int(v) for v in freq], Fraction(amp)
+    return FourierScalar.wave_sum(len(k), 0, [(k, amp.numerator, sine)], amp.denominator)
 
 
 def _mask(key: Iterable[int]) -> int:

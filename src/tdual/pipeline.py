@@ -51,6 +51,14 @@ def _flux_for(kind: str, param: int, j: int, k: int) -> FluxPair:
     return build_flux(_bundle_for(kind, param, j), k)
 
 
+@lru_cache(maxsize=1024)
+def _k_groups(pair: FluxPair, xi_twist: bool) -> KGroups:
+    """``ahss_k_groups`` of a pair under one twist.  The dual of catalog pair
+    (j, k) equals pair (k, j), so a pair's groups, read for itself and for
+    its dual, are computed once."""
+    return ahss_k_groups(TwistClass.from_flux(pair, xi_twist))
+
+
 @lru_cache(maxsize=512)
 def _resolved_k_groups(kind: str, param: int, j: int, k: int,
                        xi_twist: bool) -> tuple[KGroups, bool]:
@@ -60,11 +68,10 @@ def _resolved_k_groups(kind: str, param: int, j: int, k: int,
     extension of H^1(E; Z), which is torsion-free.  The ambiguous one is
     settled by the dual's K-groups under the other twist."""
     pair = _flux_for(kind, param, j, k)
-    kg = ahss_k_groups(TwistClass.from_flux(pair, xi_twist))
+    kg = _k_groups(pair, xi_twist)
     if kg.resolved:
         return kg, False
-    dual_k = ahss_k_groups(TwistClass.from_flux(pair.dual(), not xi_twist))
-    return resolve_by_tduality(kg, dual_k), True
+    return resolve_by_tduality(kg, _k_groups(pair.dual(), not xi_twist)), True
 
 
 def compute_fixture(fx: Fixture) -> tuple:

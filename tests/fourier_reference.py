@@ -116,6 +116,14 @@ class FourierScalar:
         mk = tuple(-v for v in k)
         return FourierScalar.make(d, {k: GaussQ.of(0, -a), mk: GaussQ.of(0, a)})
 
+    @staticmethod
+    def wave_sum(dim: int, const: int, waves, den: int = 1) -> "FourierScalar":
+        out = FourierScalar.const(dim, Fraction(const, den))
+        for freq, amp, sine in waves:
+            wave = FourierScalar.sin_wave if sine else FourierScalar.cos_wave
+            out = out + wave(freq, Fraction(amp, den))
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 

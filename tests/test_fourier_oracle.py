@@ -180,6 +180,12 @@ def test_waves_and_constants_match_reference():
             same(FourierScalar.sin_wave(freq, amp), ref.FourierScalar.sin_wave(freq, amp))
     for v in (0, 1, -3, Fraction(-7, 2)):
         same(FourierScalar.const(2, v), ref.FourierScalar.const(2, v))
+    for const, waves, den in [(2, [((1, 0), 1, False), ((-1, 0), 3, True)], 1),
+                              (0, [((1, -1), 2, True), ((-1, 1), 2, True)], 3),  # they cancel
+                              (-1, [((0, 0), 5, True), ((0, 2), -4, False)], 2),
+                              (2, [((0, 1), 4, False), ((0, -1), 2, False)], 2)]:
+        same(FourierScalar.wave_sum(2, const, waves, den),
+             ref.FourierScalar.wave_sum(2, const, waves, den))
     same(FourierScalar.zero(3), ref.FourierScalar.zero(3))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from tdual import pipeline
 from tdual.bundles import BundleDescriptor
 from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, sigma
 from tdual.complexes import DeltaComplex, LocalSystem
@@ -277,3 +278,31 @@ def test_k_level_exchange_both_directions():
         k_e_xi = resolve_by_tduality(
             ahss_k_groups(TwistClass.from_flux(p, True)), k_ehat)
         assert k_e_xi.K1 == k_ehat.K0
+
+
+def test_fixtures_compute_each_pairs_k_groups_once(monkeypatch):
+    """``run_fixtures()`` reads a pair's K-groups, and its dual's, through
+    one cache keyed on the pair and the twist; the dual of catalog pair
+    (j, k) is pair (k, j).  So ``ahss_k_groups`` runs once per distinct
+    (pair, twist), 122 times over the 184 cells where a call per read
+    made 182, and every cell keeps the value computed without the cache."""
+    calls = []
+    monkeypatch.setattr(pipeline, "ahss_k_groups", lambda t: calls.append(t) or ahss_k_groups(t))
+    pipeline._resolved_k_groups.cache_clear()
+    pipeline._k_groups.cache_clear()
+    results = pipeline.run_fixtures()
+    assert len(results) == 184 and all(r.ok for r in results)
+    distinct = set()
+    for r in results:
+        fx = r.fixture
+        if fx.kind != "k-groups":
+            continue
+        params = (fx.params + (0, 0, 0))[:3]  # Klein bottle cells have none
+        pair, twist = pipeline._flux_for(fx.space, *params), fx.twist == "(xi,h)"
+        kg = ahss_k_groups(TwistClass.from_flux(pair, twist))
+        distinct.add((pair, twist))
+        if not kg.resolved:
+            kg = resolve_by_tduality(kg, ahss_k_groups(TwistClass.from_flux(pair.dual(), not twist)))
+            distinct.add((pair.dual(), not twist))
+        assert r.computed == (kg.K0, kg.K1), fx.label()
+    assert len(calls) == len(distinct) == 122

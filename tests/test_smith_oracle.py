@@ -440,14 +440,59 @@ def test_u_image_columns_are_a_r_e_i_over_d_i(kind, rows, cols, seed):
 
 def test_dense_row_work_stays_below_floor_quotient_work():
     """Eight dense 24 x 24 matrices, entries within 50: the row logs hold
-    at most 14,000 additions.  The minimal-entry loop's nearest-integer
-    quotients make 13,030 on these matrices; floor quotients make 16,603."""
+    at most 14,000 additions.  The core loop's nearest-integer quotients
+    make 13,326 on these matrices; floor quotients make 16,667."""
     rng = random.Random(7)
     additions = 0
     for _ in range(8):
         a = IntMatrix.from_rows([[rng.randint(-50, 50) for _ in range(24)] for _ in range(24)])
         additions += sum(1 for c in _Smith(a)._row_log[2] if c)
     assert additions <= 14_000, additions
+
+
+def test_core_pivots_follow_their_remainders(monkeypatch):
+    """The core loop scans the remaining block for its least entry only to
+    start a pivot: at the start, after each pivot taken and after each
+    divisibility fix.  A Euclid round that leaves remainders pivots on the
+    least of them, so ``_find_pivot`` runs at most core pivots +
+    divisibility fixes + 1 times.  Two dense matrices of each shape the
+    ``snf_dense`` benchmark factors, entries within 50."""
+    scans, fixes, units, depth = [0], [0], [], [0]
+    find_pivot, add_row = exactalg._find_pivot, exactalg._add_row
+    eliminate, unit_pivots = exactalg._eliminate, exactalg._unit_pivots
+
+    def counting_find(*args):
+        scans[0] += 1
+        return find_pivot(*args)
+
+    def counting_eliminate(*args):
+        depth[0] += 1
+        try:
+            return eliminate(*args)
+        finally:
+            depth[0] -= 1
+
+    def counting_add(*args):
+        fixes[0] += not depth[0]  # the only row addition outside _eliminate
+        add_row(*args)
+
+    def counting_units(*args):
+        pivots = unit_pivots(*args)
+        units.append(len(pivots))
+        return pivots
+
+    for name, fn in (("_find_pivot", counting_find), ("_eliminate", counting_eliminate),
+                     ("_add_row", counting_add), ("_unit_pivots", counting_units)):
+        monkeypatch.setattr(exactalg, name, fn)
+    rng = random.Random(7)
+    shapes = ((4, 4), (5, 7), (7, 5), (8, 8), (6, 10), (10, 6), (10, 10), (9, 14),
+              (14, 9), (12, 12), (12, 18), (18, 12), (16, 16), (20, 20), (16, 24), (24, 24))
+    for rows, cols in shapes * 2:
+        a = dense_matrix(rng, rows, cols)
+        scans[0] = fixes[0] = 0
+        s = _Smith(a)
+        assert scans[0] <= s.rank - units[-1] + fixes[0] + 1, (rows, cols, scans[0])
+        assert s.diag == DenseSmith(a).diag
 
 
 def test_logs_place_pivots_only_after_every_addition():
