@@ -22,9 +22,12 @@ from .complexes import json_int
 from .fourier import Form, FourierScalar, VectorField, form_primitive
 
 
+_HALF = Fraction(1, 2)
+
+
 def _anti_invariant(w: Form, deck_a, deck_two_b) -> Form:
     """(w - deck^* w) / 2."""
-    return (w - w.pullback(deck_a, deck_two_b)).scale_rat(Fraction(1, 2))
+    return Form.sum(w.cover_dim).add(_HALF, w).add(-_HALF, w.pullback(deck_a, deck_two_b)).form()
 
 
 # The largest base dimension of a loaded context, so that a few bytes of
@@ -139,7 +142,7 @@ class EquivariantContext:
     # -- projectors ----------------------------------------------------------
 
     def invariant_part(self, w: Form) -> Form:
-        return (w + self.pullback_form(w)).scale_rat(Fraction(1, 2))
+        return Form.sum(self.cover_dim).add(_HALF, w).add(_HALF, self.pullback_form(w)).form()
 
     def anti_invariant_part(self, w: Form) -> Form:
         return _anti_invariant(w, self.deck_a, self.deck_two_b)
@@ -206,9 +209,6 @@ class GeneralizedSection:
     def scale(self, f: FourierScalar) -> "GeneralizedSection":
         return GeneralizedSection(self.vec.scale(f), self.form.scale(f))
 
-    def scale_rat(self, c) -> "GeneralizedSection":
-        return GeneralizedSection(self.vec.scale_rat(c), self.form.scale_rat(c))
-
     def is_zero(self) -> bool:
         return self.vec.is_zero() and self.form.is_zero()
 
@@ -224,7 +224,8 @@ class GeneralizedSection:
     def _flux_term(self, ctx: "EquivariantContext") -> Form:
         """d lambda - i_X H for the flux of ``ctx``, kept by id (the entry holds ``ctx``)."""
         if id(ctx) not in self._flux_terms:
-            self._flux_terms[id(ctx)] = ctx, self._d_form - ctx.flux_h().interior(self.vec)
+            self._flux_terms[id(ctx)] = ctx, (Form.sum(self.form.cover_dim).add(1, self._d_form)
+                                              .interior(-1, ctx.flux_h(), self.vec).form())
         return self._flux_terms[id(ctx)][1]
 
 
@@ -251,26 +252,33 @@ def dorfman(s1: GeneralizedSection, s2: GeneralizedSection,
     flux of ``ctx`` (pass ``ctx.dual()`` for the dual side's bracket); the form
     part is i_X dm + d(i_X m) - i_Y (dl - i_X H), dm and dl - i_X H kept per section."""
     x, y = s1.vec, s2.vec
-    form = s2._d_form.interior(x) + s2.form.interior(x).d() - s1._flux_term(ctx).interior(y)
+    form = (Form.sum(x.cover_dim).interior(1, s2._d_form, x).d(1, s2.form.interior(x))
+            .interior(-1, s1._flux_term(ctx), y).form())
     return GeneralizedSection(x.lie_bracket(y), form)
 
 
-def clifford(s: GeneralizedSection, w: Form) -> Form:
-    """s . w = i_X w + lambda ^ w."""
-    return w.interior(s.vec) + s.form.wedge(w)
+def clifford(s: GeneralizedSection, w: Form, into=None, c=1):
+    """s . w = i_X w + lambda ^ w; given a ``Form.sum`` ``into``, c s . w
+    is added to that sum, which is returned, instead."""
+    acc = (into or Form.sum(w.cover_dim)).interior(c, w, s.vec).wedge(c, s.form, w)
+    return acc if into else acc.form()
+
+
+def _twisted_d(w: Form, h: Form, into=None, c=1):
+    """dw + h ^ w, or c times it added to ``into`` as in ``clifford``."""
+    acc = (into or Form.sum(w.cover_dim)).d(c, w).wedge(c, h, w)
+    return acc if into else acc.form()
 
 
 def twisted_d(w: Form, ctx: EquivariantContext, side: str = "E") -> Form:
     """d_H = d + H wedge, with H from the requested side ("E" or "Ehat")."""
-    h = ctx.flux_h() if side == "E" else ctx.dual().flux_h()
-    return w.d() + h.wedge(w)
+    return _twisted_d(w, ctx.flux_h() if side == "E" else ctx.dual().flux_h())
 
 
 def pairing(s1: GeneralizedSection, s2: GeneralizedSection) -> FourierScalar:
     """Canonical half pairing: ((X,l),(Y,m)) = (m(X) + l(Y)) / 2."""
-    a = s2.form.interior(s1.vec).component(())
-    b = s1.form.interior(s2.vec).component(())
-    return (a + b).scale(Fraction(1, 2))
+    return (Form.sum(s1.vec.cover_dim).interior(_HALF, s2.form, s1.vec)
+            .interior(_HALF, s1.form, s2.vec).form().component(()))
 
 
 def anchor_d(f: FourierScalar, cover_dim: int) -> GeneralizedSection:
@@ -290,21 +298,20 @@ def derived_bracket_check(s1: GeneralizedSection, s2: GeneralizedSection,
     of odd operators, the outer one an ordinary commutator; the flux enters
     D with the sign opposite to the one in the bracket formula (wedging by
     H anticommutes past the degree-one Clifford factors)."""
-    return _derived_bracket_holds(dorfman(s1, s2, ctx), s1, s2, w, ctx)
+    return _derived_bracket_holds(dorfman(s1, s2, ctx), s1, s2, w, ctx, clifford(s1, w))
 
 
 def _derived_bracket_holds(bracket: GeneralizedSection, s1: GeneralizedSection,
-                           s2: GeneralizedSection, w: Form, ctx: EquivariantContext) -> bool:
-    """``derived_bracket_check`` given the bracket [s1, s2]."""
-    h = ctx.flux_h()
-    lhs = clifford(bracket, w)
-    dh = lambda u: u.d() - h.wedge(u)
-    s2w = clifford(s2, w)
-    rhs = (dh(clifford(s1, s2w))
-           + clifford(s1, dh(s2w))
-           - clifford(s2, dh(clifford(s1, w)))
-           - clifford(s2, clifford(s1, dh(w))))
-    return lhs == rhs
+                           s2: GeneralizedSection, w: Form, ctx: EquivariantContext,
+                           s1w: Form) -> bool:
+    """``derived_bracket_check`` given the bracket [s1, s2] and s1 . w; the
+    right-hand side is summed into one table, with D u = _twisted_d(u, -H)."""
+    mh, s2w, rhs = -ctx.flux_h(), clifford(s2, w), Form.sum(w.cover_dim)
+    _twisted_d(clifford(s1, s2w), mh, rhs)
+    clifford(s1, _twisted_d(s2w, mh), rhs)
+    clifford(s2, _twisted_d(s1w, mh), rhs, -1)
+    clifford(s2, clifford(s1, _twisted_d(w, mh)), rhs, -1)
+    return clifford(bracket, w) == rhs.form()
 
 
 # ---------------------------------------------------------------------------
@@ -314,31 +321,30 @@ def _derived_bracket_holds(bracket: GeneralizedSection, s1: GeneralizedSection,
 def decompose_section(s: GeneralizedSection, ctx: EquivariantContext):
     """Split via the connection: (X, x, l, mu) with X the base field, x the
     vertical component, l the fiber covector component, mu the base form."""
-    cd = ctx.cover_dim
-    th = ctx.theta
+    cd, th = ctx.cover_dim, ctx.theta
     x_base = VectorField(cd, s.vec.components[:th]
                          + (FourierScalar.zero(ctx.base_dim),))
     x_vert = s.vec.components[th] + ctx.a.interior(x_base).component(())
     ell = s.form.component((th,))
-    mu = s.form - ctx.a.scale(ell) - Form.dx(cd, th, ell)
+    mu = Form.sum(cd).add(1, s.form).scale(-1, ctx.connection(), ell).form()
     return x_base, x_vert, ell, mu
 
 
 def _assemble(ctx: EquivariantContext, x_base: VectorField, vert: FourierScalar,
-              ell: FourierScalar, mu: Form, potential: Form) -> GeneralizedSection:
-    """The section (X, vert, ell, mu) in the split by d theta + ``potential``,
-    the inverse of ``decompose_section`` for that connection."""
+              ell: FourierScalar, mu: Form, side: EquivariantContext) -> GeneralizedSection:
+    """The section (X, vert, ell, mu) in the split by the connection of
+    ``side``, the inverse of ``decompose_section`` for it."""
     cd, th = ctx.cover_dim, ctx.theta
     vec = VectorField(cd, x_base.components[:th]
-                      + (vert - potential.interior(x_base).component(()),))
-    return GeneralizedSection(vec, mu + potential.scale(ell) + Form.dx(cd, th, ell))
+                      + (vert - side.a.interior(x_base).component(()),))
+    return GeneralizedSection(vec, Form.sum(cd).add(1, mu).scale(1, side.connection(), ell).form())
 
 
 def phi_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
     """Exchange the vertical vector component with the fiber covector
     component, re-assembling with the dual connection."""
     x_base, x, ell, mu = decompose_section(s, ctx)
-    return _assemble(ctx, x_base, ell, x, mu, ctx.ahat)
+    return _assemble(ctx, x_base, ell, x, mu, ctx.dual())
 
 
 def fiber_inversion(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
@@ -346,7 +352,7 @@ def fiber_inversion(s: GeneralizedSection, ctx: EquivariantContext) -> Generaliz
     (X, x, l, mu) |-> (X, -x, -l, mu) in connection-split coordinates.
     It is an involution, and bracket_swap = phi_swap o fiber_inversion."""
     x_base, x, ell, mu = decompose_section(s, ctx)
-    return _assemble(ctx, x_base, -x, -ell, mu, ctx.a)
+    return _assemble(ctx, x_base, -x, -ell, mu, ctx)
 
 
 def bracket_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedSection:
@@ -360,7 +366,7 @@ def bracket_swap(s: GeneralizedSection, ctx: EquivariantContext) -> GeneralizedS
     exactly, while the plain swap is the one compatible with the Clifford
     action under the transform."""
     x_base, x, ell, mu = decompose_section(s, ctx)
-    return _assemble(ctx, x_base, -ell, -x, mu, ctx.ahat)
+    return _assemble(ctx, x_base, -ell, -x, mu, ctx.dual())
 
 
 def check_phi_intertwines(s1: GeneralizedSection, s2: GeneralizedSection,
@@ -374,9 +380,9 @@ def check_phi_intertwines(s1: GeneralizedSection, s2: GeneralizedSection,
 def hori_forms(w: Form, ctx: EquivariantContext) -> Form:
     """Componentwise transform: w = alpha + A ^ beta goes to
     beta - Ahat ^ alpha on the dual side."""
-    beta = w.interior(ctx._fibre)
-    alpha = w - ctx.connection().wedge(beta)
-    return beta - ctx.dual().connection().wedge(alpha)
+    cd, beta = w.cover_dim, w.interior(ctx._fibre)
+    alpha = Form.sum(cd).add(1, w).wedge(-1, ctx.connection(), beta).form()
+    return Form.sum(cd).add(1, beta).wedge(-1, ctx.dual().connection(), alpha).form()
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +480,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     swap = cache(lambda s: phi_swap(s, ctx))
     hori = cache(lambda w: hori_forms(w, ctx))
     d_h = cache(lambda w: twisted_d(w, ctx))
+    act = cache(clifford)
 
     checks.append(("bracket Leibniz identity over itself",
                    all(br.a_bc == br.ab_c + br.b_ac for br in brs)))
@@ -492,7 +499,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     forms = [random_form(rng, ctx, deg, invariant=True)
              for deg in (0, 1, 2) for _ in range(max(1, sections // 3))]
     checks.append(("derived-bracket identity",
-                   all(_derived_bracket_holds(br.ab, a, b, w, ctx)
+                   all(_derived_bracket_holds(br.ab, a, b, w, ctx, act(a, w))
                        for (a, b, _), br, w in zip(triples, brs, forms))))
     checks.append(("twisted differential squares to zero",
                    all(twisted_d(d_h(w), ctx).is_zero() for w in forms)))
@@ -502,7 +509,7 @@ def run_context_checks(ctx: EquivariantContext, sections: int = 12,
     checks.append(("swap intertwines the brackets",
                    all(bracket_swap(br.ab, ctx) == br.swapped for br in brs)))
     checks.append(("transform anti-commutes with the Clifford action",
-                   all(hori_forms(clifford(a, w), ctx) == clifford(swap(a), hori(w)).scale_rat(-1)
+                   all(hori_forms(act(a, w), ctx) == clifford(swap(a), hori(w)).scale_rat(-1)
                        for (a, _, _), w in zip(triples, forms))))
     checks.append(("transform anti-commutes with the twisted differential",
                    all(hori_forms(d_h(w), ctx)

@@ -15,9 +15,10 @@ positive ints and int order is lexicographic.  Entries are capped at
 (``compose_affine`` and each product's output).  A form on T^{d+1},
 fiber angle last, is one such table with keys packed frequency <<
 cover_dim | coordinate mask.
-Each form operation is one pass into one accumulator and one reduction
-(``_table``), with signs from bit counts; ``_mul_into`` is the one
-product kernel.  The JSON schema is the Gaussian full spectrum, one
+Form operations and sums of them (``Form.sum``, a ``FormSum``) add
+their terms into one table, rescaled by ``_mul_into``'s multiplier, and
+reduce it once (``_table``), with signs from bit counts; ``_mul_into`` is
+the one product kernel.  The JSON schema is the Gaussian full spectrum, one
 {"freq", "re", "im"} entry per nonzero coefficient at k and at -k, read
 only by ``FourierScalar.from_json_list``, which checks its reality.
 """
@@ -127,7 +128,7 @@ class FourierScalar:
         return FourierScalar(self.dim, *_table(acc, 2 * self.den * o.den, self.dim))
 
     def scale(self, c: Rat) -> "FourierScalar":
-        return FourierScalar(self.dim, *_scaled(self, c))
+        return FourierScalar(self.dim, *_lincomb(((Fraction(c), self),)))
 
     def __neg__(self) -> "FourierScalar":
         return self.scale(-1)
@@ -215,20 +216,12 @@ def _table(acc: dict, den: int, dim: int = 0, shift: int = 0) -> Table:
     return _reduce(sorted([(k, a, b) for k, (a, b) in acc.items() if a or b]), den)
 
 
-def _lincomb(pairs: Iterable[tuple[int, Union[FourierScalar, "Form"]]]) -> Table:
-    """The table of the sum of c * s over (integer c, scalar or form s)
-    pairs, taken over the least common denominator and reduced once."""
-    pairs = [(c, s) for c, s in pairs if c and s.terms]
-    if not pairs:
-        return (), 1
-    if len(pairs) == 1 and pairs[0][0] == 1:
-        return pairs[0][1].terms, pairs[0][1].den
-    den = lcm(*(s.den for _, s in pairs))
-    (c, s), *rest = pairs
-    acc = {k: [a * c * (den // s.den), b * c * (den // s.den)] for k, a, b in s.terms}
-    for c, s in rest:
-        _add(acc, c * (den // s.den), s.terms)
-    return _table(acc, den)
+def _lincomb(pairs: Iterable[tuple[Rat, Union[FourierScalar, "Form"]]]) -> Table:
+    """The table of the sum of c * s over (c, scalar or form s) pairs."""
+    acc = FormSum(0)
+    for c, s in pairs:
+        acc.add(c, s)
+    return _table(acc.acc, acc.den)
 
 
 def _add(acc: dict, c: int, terms: Iterable[Term]) -> None:
@@ -241,12 +234,6 @@ def _add(acc: dict, c: int, terms: Iterable[Term]) -> None:
         else:
             p[0] += c * a
             p[1] += c * b
-
-
-def _scaled(s: Union[FourierScalar, "Form"], c: Rat) -> Table:
-    c = Fraction(c)
-    n = c.numerator
-    return _reduce([(k, a * n, b * n) for k, a, b in s.terms] if n else [], s.den * c.denominator)
 
 
 def _mul_into(acc: dict, c: int, t1: Sequence[Term], t2: Sequence[Term], mask: int = 0) -> None:
@@ -375,6 +362,10 @@ class Form:
         return Form(cover_dim, (), 1)
 
     @staticmethod
+    def sum(cover_dim: int) -> "FormSum":
+        return FormSum(cover_dim)
+
+    @staticmethod
     def scalar(cover_dim: int, f: FourierScalar) -> "Form":
         return Form.make(cover_dim, {(): f})
 
@@ -424,40 +415,19 @@ class Form:
         return self.scale_rat(-1)
 
     def scale_rat(self, c: Rat) -> "Form":
-        return Form(self.cover_dim, *_scaled(self, c))
+        return FormSum(self.cover_dim).add(Fraction(c), self).form()
 
     def scale(self, g: FourierScalar) -> "Form":
-        cd, acc = self.cover_dim, {}
-        t2 = [(k << cd, a, b) for k, a, b in g.terms]
-        for m, t in self._groups().items():
-            _mul_into(acc, 1, t2, t, m)
-        return Form(cd, *_table(acc, 2 * self.den * g.den, cd - 1, cd))
+        return FormSum(self.cover_dim).scale(1, self, g).form()
 
     def wedge(self, o: "Form") -> "Form":
-        cd, acc = self.cover_dim, {}
-        for m1, t1 in self._groups().items():
-            for m2, t2 in o._groups().items():
-                if not m1 & m2:  # the sign sorts m1's indices followed by m2's
-                    n = sum((m1 >> j + 1).bit_count() for j in range(cd) if m2 >> j & 1)
-                    _mul_into(acc, -1 if n % 2 else 1, t1, t2, m1 | m2)
-        return Form(cd, *_table(acc, 2 * self.den * o.den, cd - 1, cd))
+        return FormSum(self.cover_dim).wedge(1, self, o).form()
 
     def d(self) -> "Form":
-        # the fiber coordinate never appears
-        cd, acc = self.cover_dim, {}
-        for j, part in enumerate(_partials(self.terms, cd - 1, cd)):
-            _add(acc, 1, [(k | 1 << j, -a, -b) if (k & ((1 << j) - 1)).bit_count() & 1
-                          else (k | 1 << j, a, b) for k, a, b in part if not k >> j & 1])
-        return Form(cd, *_table(acc, self.den))
+        return FormSum(self.cover_dim).d(1, self).form()
 
     def interior(self, vf: "VectorField") -> "Form":
-        cd, acc = self.cover_dim, {}
-        den, _, rows = vf._rows
-        for m, t in self._groups().items():
-            for j in range(cd):
-                if m >> j & 1:
-                    _mul_into(acc, _sign(m & ((1 << j) - 1)), rows[j], t, m ^ 1 << j)
-        return Form(cd, *_table(acc, 2 * self.den * den, cd - 1, cd))
+        return FormSum(self.cover_dim).interior(1, self, vf).form()
 
     def pullback(self, a_rows: Sequence[Sequence[int]], two_b: Sequence[int]) -> "Form":
         """Pullback along (x, theta) -> (Ax + b, -theta): dx_i goes to
@@ -483,6 +453,71 @@ class Form:
             key = tuple(json_int(v, "dx") for v in item["dx"])
             acc[key] = FourierScalar.from_json_list(cover_dim - 1, item["waves"])
         return Form.make(cover_dim, acc)
+
+
+class FormSum:
+    """A sum of form terms: one key -> [a, b] table over a denominator that
+    grows by lcm.  Each method adds c (int or Fraction) times one operation
+    and returns the sum; ``form`` reduces once, checking frequencies for
+    overflow if a product was added.  ``add`` also sums scalars' tables."""
+
+    __slots__ = ("cover_dim", "acc", "den", "prod")
+
+    def __init__(self, cover_dim: int) -> None:
+        self.cover_dim, self.acc, self.den, self.prod = cover_dim, {}, 1, False
+
+    def _times(self, c: Rat, den: int) -> int:
+        """The multiplier that puts c times numerators over ``den`` over the
+        sum's denominator, first grown by lcm to a multiple of den."""
+        c, den = c.numerator, den * c.denominator
+        if self.den % den:
+            g = den // gcd(self.den, den)
+            for p in self.acc.values():
+                p[0], p[1] = p[0] * g, p[1] * g
+            self.den *= g
+        return c * (self.den // den)
+
+    def add(self, c: Rat, w: Form) -> "FormSum":
+        _add(self.acc, self._times(c, w.den), w.terms)
+        return self
+
+    def d(self, c: Rat, w: Form) -> "FormSum":
+        # the fiber coordinate never appears
+        cd, c = self.cover_dim, self._times(c, w.den)
+        for j, part in enumerate(_partials(w.terms, cd - 1, cd)):
+            _add(self.acc, c, [(k | 1 << j, -a, -b) if (k & ((1 << j) - 1)).bit_count() & 1
+                               else (k | 1 << j, a, b) for k, a, b in part if not k >> j & 1])
+        return self
+
+    def interior(self, c: Rat, w: Form, vf: "VectorField") -> "FormSum":
+        cd, (den, _, rows) = self.cover_dim, vf._rows
+        c, self.prod = self._times(c, 2 * w.den * den), True
+        for m, t in w._groups().items():
+            for j in range(cd):
+                if m >> j & 1:
+                    _mul_into(self.acc, c * _sign(m & ((1 << j) - 1)), rows[j], t, m ^ 1 << j)
+        return self
+
+    def wedge(self, c: Rat, w1: Form, w2: Form) -> "FormSum":
+        cd, groups = self.cover_dim, w2._groups().items()
+        c, self.prod = self._times(c, 2 * w1.den * w2.den), True
+        for m1, t1 in w1._groups().items():
+            for m2, t2 in groups:
+                if not m1 & m2:  # the sign sorts m1's indices followed by m2's
+                    n = sum((m1 >> j + 1).bit_count() for j in range(cd) if m2 >> j & 1)
+                    _mul_into(self.acc, -c if n % 2 else c, t1, t2, m1 | m2)
+        return self
+
+    def scale(self, c: Rat, w: Form, g: FourierScalar) -> "FormSum":
+        cd, c, self.prod = self.cover_dim, self._times(c, 2 * w.den * g.den), True
+        t2 = [(k << cd, a, b) for k, a, b in g.terms]
+        for m, t in w._groups().items():
+            _mul_into(self.acc, c, t2, t, m)
+        return self
+
+    def form(self) -> Form:
+        cd = self.cover_dim
+        return Form(cd, *_table(self.acc, self.den, cd - 1 if self.prod else 0, cd))
 
 
 @dataclass(frozen=True)
@@ -529,9 +564,6 @@ class VectorField:
     def __sub__(self, o: "VectorField") -> "VectorField":
         return VectorField(self.cover_dim,
                            tuple(a - b for a, b in zip(self.components, o.components)))
-
-    def scale_rat(self, c: Rat) -> "VectorField":
-        return VectorField(self.cover_dim, tuple(f.scale(c) for f in self.components))
 
     def scale(self, g: FourierScalar) -> "VectorField":
         return VectorField(self.cover_dim, tuple(g * f for f in self.components))

@@ -3,9 +3,11 @@
 The Gaussian-rational ``GaussQ``/``FourierScalar`` and the ``Form``,
 ``VectorField``, ``lie_derivative`` and ``form_primitive`` that
 ``tdual.fourier`` used before scalars stored only the half spectrum as
-integer cos/sin numerators.  Kept verbatim as a test oracle: the
-differential tests require ``tdual.fourier`` to produce exactly the same
-``to_json_list`` output.  Nothing under ``src/`` imports this module.
+integer cos/sin numerators, kept verbatim as a test oracle, plus
+``FormSum``, which sums compound form expressions one reference operation
+and one merge per term.  The differential tests require ``tdual.fourier``
+to produce exactly the same ``to_json_list`` output.  Nothing under
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -233,6 +235,10 @@ class Form:
         return Form(cover_dim, ())
 
     @staticmethod
+    def sum(cover_dim: int) -> "FormSum":
+        return FormSum(cover_dim)
+
+    @staticmethod
     def scalar(cover_dim: int, f: FourierScalar) -> "Form":
         return Form.make(cover_dim, {(): f})
 
@@ -352,6 +358,36 @@ class Form:
             key = tuple(int(v) for v in item["dx"])
             acc[key] = FourierScalar.from_json_list(cover_dim - 1, item["waves"])
         return Form.make(cover_dim, acc)
+
+
+class FormSum:
+    """The sum of c times each added operation's result, each term built
+    by its own reference operation and merged into the total at once."""
+
+    def __init__(self, cover_dim: int) -> None:
+        self.total = Form.zero(cover_dim)
+
+    def _merge(self, c: Rat, w: Form) -> "FormSum":
+        self.total = self.total + w.scale_rat(c)
+        return self
+
+    def add(self, c: Rat, w: Form) -> "FormSum":
+        return self._merge(c, w)
+
+    def d(self, c: Rat, w: Form) -> "FormSum":
+        return self._merge(c, w.d())
+
+    def interior(self, c: Rat, w: Form, vf: "VectorField") -> "FormSum":
+        return self._merge(c, w.interior(vf))
+
+    def wedge(self, c: Rat, w1: Form, w2: Form) -> "FormSum":
+        return self._merge(c, w1.wedge(w2))
+
+    def scale(self, c: Rat, w: Form, g: FourierScalar) -> "FormSum":
+        return self._merge(c, w.scale(g))
+
+    def form(self) -> Form:
+        return self.total
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tdual import courant
+from tdual import courant, fourier
 from tdual.courant import (
     EquivariantContext,
     GeneralizedSection,
@@ -382,6 +382,45 @@ def test_shared_values_are_computed_once_per_run(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         assert run_context_checks(ctx, sections=3, seed=7, label=name).ok
         assert calls == {"hori_forms": 12, "twisted_d": 9, "phi_swap": 9, "dorfman": 27}, name
+
+
+def test_each_clifford_action_is_built_once_per_run(monkeypatch):
+    """Per section triple at three sections, eight Clifford actions in the
+    derived-bracket identity, the three outer ones of its right-hand side
+    summed into it, and one in the transform check, which reads a . w from
+    the derived-bracket identity: 27, where building a . w twice made 30."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return clifford(*args)
+
+    monkeypatch.setattr(courant, "clifford", counted)
+    name, ctx = standard_contexts()[1]
+    assert run_context_checks(ctx, sections=3, seed=7, label=name).ok
+    assert len(calls) == 27
+
+
+def test_bracket_form_part_is_one_reduction(monkeypatch):
+    """With d mu and d lambda - i_X H kept on the sections, a bracket
+    reduces i_X mu, one table per component of the Lie bracket and one
+    for its whole form part; term by term, i_X mu and that part took six."""
+    ctx = curved_context()
+    rng = random.Random(3)
+    a, b = random_section(rng, ctx), random_section(rng, ctx)
+    a._flux_term(ctx), b._d_form  # both kept on the sections from here on
+    x, y = a.vec, b.vec
+    textbook = (lie_derivative(x, b.form) - a.form.d().interior(y)
+                + ctx.flux_h().interior(x).interior(y))
+    tables, table = [], fourier._table
+
+    def counted(*args):
+        tables.append(1)
+        return table(*args)
+
+    monkeypatch.setattr(fourier, "_table", counted)
+    assert dorfman(a, b, ctx).form == textbook
+    assert len(tables) == 1 + CD + 1
 
 
 def test_scalar_pullbacks_build_no_form(monkeypatch):

@@ -7,8 +7,9 @@ scalars of dimension 1-3 with frequencies in -3..3 and amplitudes over
 denominators 1, 2, 3 and 5 under + - * scale neg partial compose_affine
 constant_term (decks: the identity, the half-shift and the reflection,
 plus one map that sends nonzero frequencies to zero), forms and vector
-fields under scale wedge d interior pullback lie_derivative form_primitive, and
-the symbolic Courant layer on the standard contexts.
+fields under scale wedge d interior pullback lie_derivative form_primitive,
+sums of those operations built in one ``Form.sum`` accumulator, and the
+symbolic Courant layer on the standard contexts.
 """
 
 import random
@@ -246,6 +247,60 @@ def test_form_primitive_errors_match_reference(data, dim):
             form_primitive(w)
     else:
         same(form_primitive(w), expected)
+
+
+OPS = ("add", "d", "interior", "wedge", "scale")
+
+
+def operands(op, w, v, x, g):
+    """The operands that ``FormSum``'s ``op`` takes after its multiplier."""
+    return {"add": (w,), "d": (w,), "interior": (w, x), "wedge": (w, v), "scale": (w, g)}[op]
+
+
+def alone(op, w, v, x, g):
+    """``op``'s result on its own, through the ``Form`` method."""
+    return w if op == "add" else getattr(w, op)(*operands(op, w, v, x, g)[1:])
+
+
+@st.composite
+def sum_terms(draw, dim):
+    """Up to six terms (c, op, our operands, the reference's) over forms of
+    mixed denominators, c an integer or a fraction."""
+    (w, W), (v, V) = draw(forms(dim)), draw(forms(dim))
+    (x, X), (g, G) = draw(fields(dim)), draw(scalars(dim))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        op, c = draw(st.sampled_from(OPS)), draw(st.one_of(st.integers(-3, 3), rationals()))
+        first = draw(st.booleans())  # either form may come first
+        ours, theirs = ((w, v), (W, V)) if first else ((v, w), (V, W))
+        terms.append((c, op, ours + (x, g), theirs + (X, G)))
+    return terms
+
+
+def summed(form_cls, cd, terms, side):
+    """The terms summed in one ``form_cls.sum``, with our operands (side 2)
+    or the reference's (side 3)."""
+    acc = form_cls.sum(cd)
+    for term in terms:
+        getattr(acc, term[1])(term[0], *operands(term[1], *term[side]))
+    return acc.form()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3))
+def test_form_sums_match_reference_and_separate_operations(data, dim):
+    """One accumulator equals the reference's, which merges one reference
+    operation at a time, and the sum of the operations each reduced on its
+    own; with every term also added negated it is the zero form."""
+    cd, terms = dim + 1, data.draw(sum_terms(dim))
+    out = summed(Form, cd, terms, 2)
+    same(out, summed(ref.Form, cd, terms, 3))
+    separate = Form.zero(cd)
+    for c, op, ours, _ in terms:
+        separate = separate + alone(op, *ours).scale_rat(c)
+    assert out == separate
+    negated = [(-c, op, ours, theirs) for c, op, ours, theirs in terms]
+    assert summed(Form, cd, terms + negated, 2) == Form.zero(cd)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdual.fourier import Form, FourierScalar, FrequencyOverflow, _pack, _unpack
+from tdual.fourier import Form, FourierScalar, FrequencyOverflow, VectorField, _pack, _unpack
 
 CAP = 2 ** 31
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -115,6 +115,73 @@ def test_chebyshev_doubling_stops_at_the_cap():
         assert g == FourierScalar.cos_wave((2 ** e,))
     with pytest.raises(FrequencyOverflow):
         two * g * g - one
+
+
+@st.composite
+def near_cap_scalars(draw, dim):
+    """cos(2pi k.x) or half of it, each k_i one of 0, +-1, +-2**30 and
+    +-(2**31 - 1), so that a sum of two frequencies may reach the cap."""
+    entries = st.sampled_from((0, 1, -1, CAP // 2, -CAP // 2, CAP - 1, -(CAP - 1)))
+    return FourierScalar.cos_wave(draw(st.tuples(*[entries] * dim)),
+                                  draw(st.sampled_from((1, Fraction(1, 2)))))
+
+
+@st.composite
+def near_cap_forms(draw, cd):
+    keys = [key for p in range(cd + 1) for key in combinations(range(cd), p)]
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+    return Form.make(cd, {key: draw(near_cap_scalars(cd - 1)) for key in chosen})
+
+
+def multiplied(op, args):
+    """The (scalar, scalar) pairs whose products the form operation ``op``
+    adds up."""
+    if op == "interior":
+        return [(args[1].components[j], f) for key, f in args[0].components for j in key]
+    if op == "wedge":
+        return [(f, g) for k1, f in args[0].components for k2, g in args[1].components
+                if not set(k1) & set(k2)]
+    return [(args[1], f) for _, f in args[0].components] if op == "scale" else []
+
+
+def alone(op, args):
+    """The form operation ``op`` on ``args``, reduced on its own."""
+    return args[0] if op == "add" else getattr(args[0], op)(*args[1:])
+
+
+def reaches_cap(f, g):
+    """Whether some k1 + k2, k1 a frequency of f and k2 one of g, each
+    with its negative, has an entry of 2**31 or more in absolute value."""
+    freqs = [[e["freq"] for e in h.to_json_list()] for h in (f, g)]
+    return any(abs(a + b) >= CAP for k1 in freqs[0] for k2 in freqs[1] for a, b in zip(k1, k2))
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 3))
+def test_form_sums_overflow_exactly_when_their_terms_do(data, cd):
+    """``Form.sum`` raises ``FrequencyOverflow`` exactly when one of its
+    products reaches the cap, as each operation then does on its own, and
+    otherwise equals the sum of its terms."""
+    w, v = data.draw(near_cap_forms(cd)), data.draw(near_cap_forms(cd))
+    x = VectorField(cd, tuple(data.draw(near_cap_scalars(cd - 1)) for _ in range(cd)))
+    g = data.draw(near_cap_scalars(cd - 1))
+    terms = data.draw(st.lists(st.sampled_from((
+        ("add", (w,)), ("d", (v,)), ("interior", (w, x)), ("wedge", (w, v)), ("scale", (v, g)))),
+        min_size=1, max_size=4))
+    acc, separate = Form.sum(cd), Form.zero(cd)
+    for op, args in terms:
+        getattr(acc, op)(1, *args)
+        if any(reaches_cap(f, h) for f, h in multiplied(op, args)):
+            with pytest.raises(FrequencyOverflow):
+                alone(op, args)
+            separate = None
+        elif separate is not None:
+            separate = separate + alone(op, args)
+    if separate is None:
+        with pytest.raises(FrequencyOverflow):
+            acc.form()
+    else:
+        assert acc.form() == separate
 
 
 # ---------------------------------------------------------------------------
