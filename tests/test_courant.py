@@ -385,10 +385,10 @@ def test_shared_values_are_computed_once_per_run(monkeypatch):
 
 
 def test_each_clifford_action_is_built_once_per_run(monkeypatch):
-    """Per section triple at three sections, eight Clifford actions in the
-    derived-bracket identity, the three outer ones of its right-hand side
-    summed into it, and one in the transform check, which reads a . w from
-    the derived-bracket identity: 27, where building a . w twice made 30."""
+    """Per section triple at three sections: eight Clifford actions in the
+    derived-bracket identity (the three outer ones of its right-hand side
+    are summed into it) and one in the transform check, which reads a . w
+    from the same cache; 27 in all, where building a . w twice made 30."""
     calls = []
 
     def counted(*args):
