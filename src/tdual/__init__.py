@@ -62,7 +62,6 @@ from .complexes import (
     is_coboundary,
     poincare_duality_check,
     tensor,
-    trivial_system,
 )
 from .courant import (
     EquivariantContext,

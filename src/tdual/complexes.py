@@ -231,10 +231,6 @@ class LocalSystem:
 System = Optional[LocalSystem]
 
 
-def trivial_system(base: DeltaComplex) -> LocalSystem:
-    return LocalSystem(base, (1,) * base.count(1))
-
-
 def tensor(a: System, b: System) -> System:
     if a is None:
         return b

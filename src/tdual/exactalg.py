@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, compress
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Mapping, Optional, Sequence
 
 
@@ -650,10 +650,6 @@ class FGAbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    def order(self) -> Optional[int]:
-        """Group order; None when infinite."""
-        return None if self.free_rank else prod(self.torsion)
-
     def direct_sum(self, other: "FGAbelianGroup") -> "FGAbelianGroup":
         rels = (*self.torsion, *other.torsion)
         mat = IntMatrix.from_nonzeros([{i: d} for i, d in enumerate(rels)], len(rels))
@@ -743,14 +739,6 @@ class GroupData:
     @property
     def class_of(self) -> Optional[Callable[[Sequence[int]], tuple[int, ...]]]:
         return self._built()[1]
-
-    def __eq__(self, other) -> bool:  # by group and generators, so it builds them
-        if not isinstance(other, GroupData):
-            return NotImplemented
-        return (self.group, self.representatives) == (other.group, other.representatives)
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.representatives))
 
     def coordinates(self, cycle: Sequence[int]) -> tuple[int, ...]:
         if self.class_of is None:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tdual import bundles
 from tdual.bundles import (
     BundleDescriptor,
     InvalidDescriptor,
@@ -293,3 +294,25 @@ def test_bundle_json_round_trip():
     b = build_bundle(info, info.xi(), 1)
     s = b.to_json()
     assert BundleDescriptor.from_json_dict(__import__("json").loads(s)) == b
+
+
+def test_same_bundle_tells_classes_apart():
+    """Other orientation class, other Euler class: not the same bundle."""
+    info = crosscap_sum(2)
+    b = build_bundle(info, info.xi(), 1)
+    assert not same_bundle(b, build_bundle(info, info.trivial_xi(), 1))
+    assert not same_bundle(b, build_bundle(info, info.xi(), 2))
+
+
+def test_gysin_report_fails_with_another_euler_cocycle(monkeypatch):
+    """The sequence assembled from the total space of e = 2 but with the
+    cup by e = 1 over the torus is not exact at H^2(M) = Z: the pullback
+    kills 2Z there, and the cup hits all of Z."""
+    info = torus()
+    b = build_bundle(info, info.trivial_xi(), 1)
+    double = build_bundle(info, info.trivial_xi(), 2)
+    assert all(ok for _, ok in gysin_exactness_report(b))
+    monkeypatch.setattr(bundles, "TotalComplex",
+                        lambda bundle, zeta=None: TotalComplex(double, zeta))
+    failed = [name for name, ok in gysin_exactness_report(b) if not ok]
+    assert failed == ["H^2(M)"]

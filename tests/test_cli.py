@@ -1,13 +1,16 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from tdual import catalog, exactalg
+from tdual import catalog, cli, exactalg, pipeline
 from tdual.catalog import build_bundle, build_flux, circle, sigma, space
 from tdual.cli import main
 from tdual.complexes import MAX_CELLS
 from tdual.courant import MAX_BASE_DIM, MAX_SECTIONS, EquivariantContext, standard_contexts
+from tdual.exactalg import FGAbelianGroup as FG
 from tdual.fixtures import klein_fixtures
+from tdual.fourier import Form, FourierScalar
 from tdual.pipeline import run_fixtures, run_pipeline
 
 
@@ -302,6 +305,9 @@ def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
     def dx(key):
         return lambda obj: obj["a"][0].update({"dx": key})
 
+    def short_frequency(obj):
+        obj["a"][0]["waves"][0]["freq"] = [1]
+
     for edit, reason in ((non_involutive, "involution"),
                          (invariant_potential, "anti-invariant"),
                          (missing_dim, "missing field 'dim'"),
@@ -315,6 +321,7 @@ def test_courant_check_rejects_invalid_contexts(tmp_path, capsys):
                          (dx([3]), "coordinate index out of range"),
                          (dx([1, 0]), "component keys must be sorted and distinct"),
                          (dx([1, 1]), "component keys must be sorted and distinct"),
+                         (short_frequency, "frequency arity mismatch"),
                          (first_frequency(2 ** 31), "frequency entries must be below 2**31")):
         path = context_file(tmp_path, edit)
         assert_input_error(capsys, ["courant-check", str(path)], path, reason)
@@ -416,3 +423,103 @@ def test_context_loader_rejects_non_integers(tmp_path, capsys):
                          (freq, "freq: expected an integer, not 1.0")):
         path = context_file(tmp_path, edit)
         assert_input_error(capsys, ["courant-check", str(path)], path, reason)
+
+
+def test_loaders_reject_complexes_systems_and_pairs_that_do_not_fit(tmp_path, capsys):
+    """A complex with a gap in its simplex dimensions or an edge of three
+    vertices, a sign that is not +-1, an Euler cochain that is not closed
+    (over a 3-simplex, which has a 3-cochain to see it) and a flux of the
+    wrong length exit 2."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"vertices": 3, "simplices": {"2": [[0, 1, 2]]}}))
+    assert_input_error(capsys, ["cohomology", str(path)], path,
+                       "simplex dimensions must be contiguous from 1")
+    path.write_text(json.dumps({"vertices": 3, "simplices": {"1": [[0, 1, 2]]}}))
+    assert_input_error(capsys, ["cohomology", str(path)], path,
+                       "simplex (0, 1, 2) has wrong arity for dimension 1")
+    space_path = tmp_path / "space.json"
+    space_path.write_text(sigma(1).complex.to_json())
+    signs = [1] * sigma(1).complex.count(1)
+    signs[0] = 2
+    path.write_text(json.dumps({"edge_signs": signs}))
+    assert_input_error(capsys, ["cohomology", str(space_path), "--local-system", str(path)],
+                       path, "signs must be +-1")
+    simplex = {"vertices": 4,
+               "simplices": {"1": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]],
+                             "2": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+                             "3": [[0, 1, 2, 3]]}}
+    path.write_text(json.dumps({"base": simplex, "xi": {"edge_signs": [1] * 6},
+                                "euler": {"values": [1, 0, 0, 0]}}))
+    assert_input_error(capsys, ["bundle-cohomology", str(path)], path,
+                       "euler cochain is not closed")
+    pair = sphere_pair()
+    pair["Fhat"] = pair["Fhat"][:-1]
+    path.write_text(json.dumps(pair))
+    assert_input_error(capsys, ["tdual", str(path)], path,
+                       "flux component lengths do not match the base")
+
+
+def context_json(d, a=None, fhat=None, h3=None, b=None):
+    """A context over T^d with the half-shift deck, forms given as Form."""
+    forms = {"a": a, "Fhat": fhat, "H3": h3}
+    return {"dim": d, "deck": {"A": [[int(i == j) for j in range(d)] for i in range(d)],
+                               "b": b or ["1/2"] + ["0"] * (d - 1)},
+            **{key: w.to_json_list() if w else [] for key, w in forms.items()}}
+
+
+def test_courant_check_rejects_forms_that_break_the_context(tmp_path, capsys):
+    """Each check of a loaded context fails on one file: the deck, the
+    degrees and directions of the potentials and of H3, its invariance and
+    closedness, and the closedness of the total flux (dtheta + a) ^ dahat + H3,
+    which fails when da ^ dahat != 0."""
+    def cos(d, j, *freq):
+        return Form.dx(d + 1, j, FourierScalar.cos_wave(freq))
+
+    def three_form(d, *freq):
+        return Form.dx(d + 1, 0).wedge(Form.dx(d + 1, 1)).wedge(cos(d, 2, *freq))
+
+    def deck(obj):
+        obj["deck"]["A"] = [[1]]
+
+    cases = [
+        (deck, context_json(2), "deck matrix must be d x d"),
+        (None, context_json(2, b=["1/3", "0"]), "deck shift must be half-integral"),
+        (None, context_json(2, a=cos(2, 0, 1, 0).wedge(Form.dx(3, 1))), "a must be a 1-form"),
+        (None, context_json(2, a=cos(2, 2, 1, 0)), "a must be a base form"),
+        (None, context_json(2, h3=cos(2, 0, 0, 1)), "h3 must be a base 3-form"),
+        (None, context_json(3, h3=three_form(3, 1, 0, 0)), "h3 must be invariant"),
+        (None, context_json(4, h3=three_form(4, 0, 0, 0, 1)), "h3 must be closed"),
+        (None, context_json(4, a=cos(4, 1, 1, 0, 1, 0), fhat=cos(4, 2, 1, 0, 0, 1).d()),
+         "total flux 3-form is not closed"),
+    ]
+    path = tmp_path / "ctx.json"
+    for edit, obj, reason in cases:
+        if edit:
+            edit(obj)
+        path.write_text(json.dumps(obj))
+        assert_input_error(capsys, ["courant-check", str(path)], path, reason)
+
+
+def perturbed(fixtures):
+    """The fixtures with the first one's expected groups changed."""
+    first = fixtures[0]
+    return [replace(first, expected=first.expected + (FG(1),))] + list(fixtures[1:])
+
+
+def test_fixture_failures_are_printed_and_exit_1(capsys, monkeypatch):
+    """One perturbed fixture expectation: ``fixtures`` prints its FAIL block
+    and ``tables`` its fixture-diff line, and both exit 1."""
+    monkeypatch.setattr(cli, "all_fixtures", lambda: iter(perturbed(klein_fixtures())))
+    assert main(["fixtures", "--only", "klein"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    first = klein_fixtures()[0]
+    at = out.index(f"[FAIL] {first.label()}")
+    assert out[at + 1] == f"        expected {[str(g) for g in first.expected + (FG(1),)]}"
+    assert out[at + 2] == f"        got      {[str(g) for g in first.expected]}"
+    assert out[-1] == f"{len(klein_fixtures()) - 1}/{len(klein_fixtures())} fixtures passed"
+    monkeypatch.setattr(pipeline, "klein_fixtures", lambda: perturbed(klein_fixtures()))
+    assert main(["tables", "klein"]) == 1
+    out = capsys.readouterr().out
+    assert f"## Fixture diffs: 1 failure(s) out of {len(klein_fixtures())}" in out
+    assert f"- {first.label()}: expected " in out
+    assert out.rstrip().endswith("overall: FAIL")

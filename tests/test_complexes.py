@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from tdual import complexes, exactalg
+from tdual import catalog, complexes, exactalg
+from tdual.bundles import align_xi_cochain
 from tdual.catalog import circle, crosscap_sum, klein_bottle, sigma, space, torus
 from tdual.complexes import (
     DeltaComplex,
@@ -21,9 +22,9 @@ from tdual.complexes import (
     cup_matrix_left,
     homology,
     is_coboundary,
+    is_same_z2_class,
     poincare_duality_check,
     tensor,
-    trivial_system,
 )
 from tdual.exactalg import FGAbelianGroup as FG
 from tdual.exactalg import IntMatrix
@@ -425,3 +426,42 @@ def test_homology_after_cohomology_multiplies_nothing(monkeypatch):
     monkeypatch.setattr(IntMatrix, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
     assert [g.group for g in cx.homology()] == [FG(1), FG(4), FG(1)]
     assert products == []
+
+
+def test_surface_words_may_start_with_an_inverse_edge():
+    """A label whose first occurrence has exponent -1 is glued along the
+    reversed edge: the torus and the projective plane come out the same."""
+    for word, expected in (((("a", -1), ("b", -1), ("a", 1), ("b", 1)), [FG(1), FG(2), FG(1)]),
+                           ((("a", -1), ("a", -1)), [FG(1), FG(0), FG(0, (2,))])):
+        x = catalog._surface_from_word("word", word).complex
+        assert [g.group for g in cohomology(x)] == expected
+
+
+def test_zero_cochains_align_by_their_vertex():
+    """Aligning a 0-cochain reads each vertex as its own first vertex."""
+    info = crosscap_sum(1)
+    xi = info.xi()
+    u = [1] + [0] * (info.complex.vertex_count - 1)
+    other = LocalSystem(info.complex, tuple(
+        s * (-1) ** (u[t] + u[h]) for s, (t, h) in zip(xi.edge_signs, info.complex.simplices[0])))
+    c = TwistedCochain(info.complex, 0, tuple(range(1, info.complex.vertex_count + 1)), other)
+    signs = [a // b for a, b in zip(align_xi_cochain(c, xi).values, c.values)]
+    assert signs[1:] == [-signs[0]] * (len(signs) - 1)
+
+
+def test_mod_m_cochains_reduce_and_no_systems_agree():
+    x = sigma(1).complex
+    c = TwistedCochain(x, 1, (1,) * x.count(1), None, 3)
+    assert (c + c + c).is_zero() and (c + c).values == (2,) * x.count(1)
+    assert c.scale(5).values == (2,) * x.count(1)
+    assert is_same_z2_class(None, None)
+
+
+def test_duality_report_prints_each_degree():
+    info = crosscap_sum(1)
+    report = poincare_duality_check(info.complex, info.orientation_system())
+    assert str(report).splitlines() == [
+        f"H^{i}(Z) = {lhs}  vs  H_{2 - i} = {rhs}  [ok]" for i, _, lhs, rhs, _ in report.entries]
+    broken = replace(report, entries=report.entries[:1] + (
+        (1, "Z", FG(1), FG(0), False),))
+    assert str(broken).splitlines()[1] == "H^1(Z) = Z  vs  H_1 = 0  [FAIL]"

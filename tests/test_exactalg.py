@@ -382,3 +382,13 @@ def test_homology_at_mod():
     assert h.class_of((2, 0)) == h.class_of((0, 6)) == h.class_of((6, 0)) == (0,)
     with pytest.raises(ValueError):
         h.class_of((0, 1))
+
+
+def test_determinant_of_empty_and_singular_matrices():
+    assert determinant(IntMatrix.zeros(0, 0)) == 1
+    assert determinant(mat([[0, 1, 2], [0, 3, 4], [0, 5, 6]])) == 0
+    assert determinant(mat([[0, 1], [1, 0]])) == -1
+
+
+def test_matrices_equal_only_matrices():
+    assert mat([[1]]) != [[1]] and not mat([[1]]) == "x"

@@ -1,15 +1,18 @@
 """Every name a ``tdual`` module imports at module level is used there,
-no ``tdual`` function imports anything, and the dense view
-``IntMatrix.data`` is read only where it is allowed.
+no ``tdual`` function imports anything, the dense view ``IntMatrix.data``
+is read only where it is allowed, and every entry of the list of
+statements allowed to stay unrun names a real statement with a reason.
 
 The package ``__init__`` is skipped by the unused-import check: its
 imports are the public re-exports.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tdual"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 # (module, name) pairs kept on purpose, with the reason.
 ALLOWED = {
@@ -98,3 +101,26 @@ def test_dense_view_is_read_only_where_allowed():
                 found.append(f"{path.stem}:{line} in {scope or 'module'}")
     assert not found, "reads of the dense view IntMatrix.data: " + ", ".join(found)
     assert DATA_READERS <= readers, DATA_READERS - readers
+
+
+def _unrun_lines_tool():
+    spec = importlib.util.spec_from_file_location("unrun_lines", TOOLS / "unrun_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_unrun_allowlist_entries_name_real_statements_with_reasons():
+    """Each entry of ``tools/unrun_allowlist.txt`` parses, names a function
+    of a ``src/tdual`` module, quotes a statement of that function and says
+    why it may stay unrun.  Whether it runs is the collector's check."""
+    tool = _unrun_lines_tool()
+    entries = tool.read_allowlist((TOOLS / "unrun_allowlist.txt").read_text())
+    assert entries
+    statements = tool.package_statements()
+    for (module, qualname, text), reason in entries.items():
+        assert module in statements, module
+        assert qualname in statements[module], (module, qualname)
+        texts = {s.text for s in tool.flatten(statements[module][qualname])}
+        assert text in texts, (module, qualname, text)
+        assert reason and reason != "<reason>", (module, qualname, text)

@@ -9,7 +9,9 @@ from tdual.ktheory import (
     AmbiguousExtension,
     DimensionTooHigh,
     KGroups,
+    MultipleMatches,
     NoMatchingCandidate,
+    RationalReport,
     SpaceMismatch,
     TwistClass,
     UnsupportedTwist,
@@ -306,3 +308,27 @@ def test_fixtures_compute_each_pairs_k_groups_once(monkeypatch):
             distinct.add((pair.dual(), not twist))
         assert r.computed == (kg.K0, kg.K1), fx.label()
     assert len(calls) == len(distinct) == 122
+
+
+def test_extension_enumeration_refuses_past_its_cap():
+    """2^10 extension classes of (Z/2)^10 by Z/2: more than 512 to try."""
+    with pytest.raises(ValueError, match="extension enumeration too large"):
+        enumerate_extensions(FG(0, (2,) * 10), FG(0, (2,)))
+    assert len(enumerate_extensions(FG(0, (2,) * 9), FG(0, (2,)))) == 2
+
+
+def test_resolution_refuses_an_ambiguous_dual_and_equal_candidates():
+    amb = KGroups(FG(1), AmbiguousExtension(FG(0, (2,)), FG(1, (2,)),
+                                            (FG(1, (2, 2)), FG(1, (4,)))))
+    with pytest.raises(ValueError, match="the dual side must be unambiguous"):
+        resolve_by_tduality(amb, amb)
+    twice = KGroups(FG(1), AmbiguousExtension(FG(0, (2,)), FG(1, (2,)),
+                                              (FG(1, (4,)), FG(1, (4,)))))
+    with pytest.raises(MultipleMatches, match="extension candidates are not distinct"):
+        resolve_by_tduality(twice, KGroups(FG(1, (4,)), FG(1)))
+
+
+def test_rational_report_prints_pass_and_fail():
+    assert str(RationalReport((1, 2), (1, 2))) == \
+        "rank K^0/K^1 = (1, 2) vs twisted even/odd dims = (1, 2) [pass]"
+    assert str(RationalReport((1, 2), (2, 1))).endswith("[FAIL]")
