@@ -19,7 +19,6 @@ Leibniz) in the test suite.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
@@ -303,9 +302,9 @@ def _coboundary_cached(x: DeltaComplex, k: int, signs: tuple[int, ...]) -> IntMa
     rows = []
     for r in range(x.count(k + 1)):
         fs = x.faces(k + 1, r)
-        row = Counter({fs[0]: signs[x.subface(k + 1, r, 0, 1)] if signs else 1})
+        row = {fs[0]: signs[x.subface(k + 1, r, 0, 1)] if signs else 1}
         for i in range(1, k + 2):
-            row[fs[i]] += -1 if i % 2 else 1
+            row[fs[i]] = row.get(fs[i], 0) + (-1 if i % 2 else 1)
         rows.append(row)
     return IntMatrix.from_nonzeros(rows, x.count(k))
 
@@ -410,14 +409,16 @@ def cup(a: TwistedCochain, b: TwistedCochain) -> TwistedCochain:
 
 
 def cup_matrix_left(a: TwistedCochain, q: int, right_system: System) -> IntMatrix:
-    """Matrix of b -> a cup b on q-cochains twisted by ``right_system``."""
+    """Matrix of b -> a cup b on q-cochains twisted by ``right_system``:
+    row s holds the one term a(front) * w of ``_cup_terms`` at column
+    back, or nothing where a(front) = 0."""
     x = a.base
     n_to = x.count(a.degree + q)
     if q < 0:
         return IntMatrix.zeros(n_to, 0)
-    rows = [Counter() for _ in range(n_to)]
+    rows = [{}] * n_to  # never mutated: a row with a term is replaced
     for s, back, c in _cup_terms(a, q, right_system):
-        rows[s][back] += c
+        rows[s] = {back: c}
     return IntMatrix.from_nonzeros(rows, x.count(q))
 
 

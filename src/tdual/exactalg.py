@@ -127,12 +127,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         b = other.nonzeros
-        out = [{} for _ in self.nonzeros]
-        for row, acc in zip(self.nonzeros, out):
-            for j, a in row:
-                for k, y in b[j]:
-                    acc[k] = acc.get(k, 0) + a * y
-        return IntMatrix.from_nonzeros(out, other.cols)
+        return IntMatrix.from_nonzeros([_row_times(row, b) for row in self.nonzeros], other.cols)
 
     def mul_vec(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -148,9 +143,9 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(dict(self.nonzeros[i]).get(i, 0) for i in range(min(self.rows, self.cols)))
 
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix._of(self.rows, self.cols, tuple(tuple((j, c * x) for j, x in row if c)
-                                                         for row in self.nonzeros))
+    def scale(self, c: int) -> "IntMatrix":  # scale(1): the (immutable) matrix itself
+        return self if c == 1 else IntMatrix._of(self.rows, self.cols, tuple(
+            tuple((j, c * x) for j, x in row if c) for row in self.nonzeros))
 
 
 def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -161,8 +156,17 @@ def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
         raise ValueError("row mismatch in hstack")
     offsets = list(accumulate([b.cols for b in blocks], initial=0))  # block k starts at offsets[k]
     return IntMatrix._of(rows, offsets[-1], tuple(
-        tuple([(o + j, x) for o, row in zip(offsets, line) for j, x in row])
-        for line in zip(*(b.nonzeros for b in blocks))))
+        head + tuple([(o + j, x) for o, row in zip(offsets[1:], tail) for j, x in row])
+        for head, *tail in zip(*(b.nonzeros for b in blocks))))  # block 0's rows kept as they are
+
+
+def _row_times(row: Sequence[tuple[int, int]], b: Sequence[Sequence[tuple[int, int]]]) -> dict:
+    """``row``, as (column, value) pairs, times the matrix of nonzeros ``b``: {column: sum}."""
+    acc = {}
+    for j, a in row:
+        for k, y in b[j]:
+            acc[k] = acc.get(k, 0) + a * y
+    return acc
 
 
 def vstack(blocks: Sequence[IntMatrix]) -> IntMatrix:
@@ -780,11 +784,12 @@ def homology_at_transpose(d_in: IntMatrix, d_out: IntMatrix) -> GroupData:
 @lru_cache(maxsize=4096)
 def _check_composes(d_in: IntMatrix, d_out: IntMatrix) -> None:
     """Raise unless d_in and d_out chain through one middle and compose to
-    zero.  Cached, so H^k and H_k of one complex multiply once; a failing
-    pair raises on every call, since exceptions are not cached."""
+    zero, row by row up to the first nonzero row of d_out . d_in, never
+    forming the product.  Cached, so H^k and H_k of one complex check once;
+    a failing pair raises on every call, since exceptions are not cached."""
     if d_in.rows != d_out.cols:
         raise ValueError("middle dimensions disagree")
-    if not d_out.mul(d_in).is_zero():
+    if any(any(_row_times(row, d_in.nonzeros).values()) for row in d_out.nonzeros):
         raise CompositionNotZero("d_out . d_in != 0")
 
 

@@ -7,7 +7,10 @@ replaced them.  Kept as a test oracle: the new code must give the same
 matrices, groups, generators and ``class_of`` coordinates.  The bodies are
 the old ones; only the total loops read the reference ``total_delta``
 instead of ``TotalComplex.delta_matrix``, so that no new code enters.
-Nothing under ``src/`` imports this module.
+The coboundary and cup matrices the blocks are made of are rebuilt here
+too, without the library's row assembly: ``coboundary_matrix`` densely
+from the faces and transport signs, ``cup_matrix_left`` column by column
+from ``cup``.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from tdual.complexes import (
     InvalidLocalSystem,
     LocalSystem,
     System,
-    coboundary_matrix,
-    cup_matrix_left,
+    TwistedCochain,
+    cup,
+    system_key,
     tensor,
 )
 from tdual.exactalg import (
@@ -31,6 +35,29 @@ from tdual.exactalg import (
     homology_at,
     homology_at_mod,
 )
+
+
+def coboundary_matrix(x: DeltaComplex, k: int, system: System = None) -> IntMatrix:
+    """The twisted coboundary C^k -> C^{k+1} as a dense matrix: the k-face
+    i of a (k+1)-simplex enters its row with sign (-1)^i, and face 0, read
+    at vertex 1, is transported back along the edge from vertex 0 to 1."""
+    signs = system_key(system)
+    rows = [[0] * x.count(k) for _ in range(x.count(k + 1))]
+    for r, row in enumerate(rows if k >= 0 else ()):
+        for i, face in enumerate(x.faces(k + 1, r)):
+            row[face] += (-1) ** i * (signs[x.subface(k + 1, r, 0, 1)] if signs and i == 0 else 1)
+    return IntMatrix.from_rows(rows, cols=x.count(k))
+
+
+def cup_matrix_left(a: TwistedCochain, q: int, right_system: System) -> IntMatrix:
+    """The matrix of b -> a cup b on q-cochains over ``right_system``:
+    column j is a cup e_j, e_j the unit q-cochain at simplex j."""
+    x = a.base
+    n = x.count(q)
+    columns = [cup(a, TwistedCochain(x, q, tuple(int(i == j) for i in range(n)), right_system,
+                                     a.modulus)).values for j in range(n)]
+    return IntMatrix.from_rows([[col[s] for col in columns]
+                                for s in range(x.count(a.degree + q))], cols=n)
 
 
 def boundary_matrix(x: DeltaComplex, k: int, system: System = None) -> IntMatrix:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from tdual import catalog, complexes, exactalg
-from tdual.bundles import align_xi_cochain
+from tdual.bundles import TotalComplex, align_xi_cochain
 from tdual.catalog import circle, crosscap_sum, klein_bottle, sigma, space, torus
 from tdual.complexes import (
     DeltaComplex,
@@ -422,10 +422,29 @@ def test_homology_after_cohomology_multiplies_nothing(monkeypatch):
     cx = cochain_complex(space("sigma", g=2).complex)
     assert [g.group for g in cx.cohomology()] == [FG(1), FG(4), FG(1)]
     products = []
-    mul = IntMatrix.mul
-    monkeypatch.setattr(IntMatrix, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+    row_times = exactalg._row_times
+    monkeypatch.setattr(exactalg, "_row_times", lambda row, b: products.append(row) or row_times(row, b))
     assert [g.group for g in cx.homology()] == [FG(1), FG(4), FG(1)]
     assert products == []
+
+
+def test_composition_check_forms_no_product(monkeypatch):
+    """homology_at checks d_out . d_in = 0 on a cone pair row by row: it
+    neither multiplies the two coboundaries nor builds a matrix of their
+    product."""
+    info = sigma(2)
+    model = TotalComplex(catalog.build_bundle(info, info.xi(), 1))
+    d_in, d_out = model.delta_matrix(0), model.delta_matrix(1)
+    exactalg.homology_at(d_in, d_out)  # the Smith forms are cached from here on
+    exactalg._check_composes.cache_clear()
+    calls = []
+    mul, from_nonzeros = IntMatrix.mul, IntMatrix.from_nonzeros
+    monkeypatch.setattr(IntMatrix, "mul", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(IntMatrix, "from_nonzeros", staticmethod(
+        lambda rows, cols: calls.append("from_nonzeros") or from_nonzeros(rows, cols)))
+    assert exactalg.homology_at(d_in, d_out).group == FG(4)
+    assert exactalg._check_composes.cache_info().misses == 1
+    assert calls == []
 
 
 def test_surface_words_may_start_with_an_inverse_edge():

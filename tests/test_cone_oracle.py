@@ -1,5 +1,6 @@
 """Differential tests: ``ChainComplex`` and ``cone`` against the block-built
-coboundaries and copied degree loops kept in ``cone_reference``.
+coboundaries and copied degree loops kept in ``cone_reference``, and the
+library's coboundary and cup matrices against that module's dense ones.
 
 Both must agree exactly: the same coboundary matrices, and from them the
 same groups, generators and ``class_of`` coordinates, on every catalog
@@ -12,7 +13,7 @@ import pytest
 import cone_reference as ref
 from tdual import catalog
 from tdual.bundles import BundleDescriptor, TotalComplex
-from tdual.complexes import cohomology, homology, system_key
+from tdual.complexes import coboundary_matrix, cohomology, cup_matrix_left, homology, system_key
 from tdual.tduality import CorrespondenceComplex
 
 SPACES = ([("sigma", {"g": g}) for g in (1, 2, 3)]
@@ -51,6 +52,22 @@ def assert_same_groups(new, old):
         if b.class_of is not None:
             for rep in b.representatives:
                 assert a.coordinates(rep) == b.coordinates(rep)
+
+
+@pytest.mark.parametrize("case", SPACES, ids=space_id)
+def test_coboundary_and_cup_matrices_match_reference(case):
+    """Every coboundary over both systems, and every cup by a bundle's
+    Euler cochain from q-cochains over both systems, entry for entry."""
+    info = catalog.space(case[0], **case[1])
+    x = info.complex
+    for system in (None, info.xi()):
+        for k in range(-1, x.dimension + 1):
+            assert coboundary_matrix(x, k, system) == ref.coboundary_matrix(x, k, system), (k, system)
+    for bundle in bundles(info):
+        e = bundle.euler_cochain()
+        for system in (None, bundle.xi):
+            for q in range(-1, x.dimension + 1):
+                assert cup_matrix_left(e, q, system) == ref.cup_matrix_left(e, q, system), (q, system)
 
 
 @pytest.mark.parametrize("case", SPACES, ids=space_id)

@@ -305,6 +305,18 @@ def test_homology_composition_guard():
             homology_at(mat([[1], [0]]), mat([[1, 0]]))
 
 
+def test_composition_guard_reads_every_row_of_the_product():
+    """The composition check sums each row of d_out . d_in: two terms that
+    cancel make a zero entry, and a nonzero entry in the last row alone is
+    found, on every call."""
+    d_in = mat([[1], [1]])
+    assert homology_at(d_in, mat([[1, -1]])).group == FGAbelianGroup(0)
+    d_out = mat([[1, -1], [0, 0], [1, 1]])  # rows of d_out . d_in: 1 - 1, 0, 1 + 1
+    for _ in range(2):
+        with pytest.raises(CompositionNotZero):
+            homology_at(d_in, d_out)
+
+
 def test_class_of_maps_boundaries_to_zero():
     d2 = mat([[1, 1], [1, -1], [-1, 1]])
     d1 = mat([[0, 1, 1], [0, -1, -1]])
