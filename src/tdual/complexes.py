@@ -513,7 +513,7 @@ def cone(target: ChainComplex, source: ChainComplex,
     The alternating sign makes delta^2 = 0 whenever t f = f s.
     """
     t, s = target.delta(k), source.delta(k - 1)
-    return block_matrix([[t, f(k - 1).scale(1 if k % 2 == 0 else -1)],
+    return block_matrix([[t, f(k - 1) if k % 2 == 0 else f(k - 1).scale(-1)],
                          [IntMatrix.zeros(s.rows, t.cols), s]])
 
 

@@ -143,9 +143,9 @@ class IntMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(dict(self.nonzeros[i]).get(i, 0) for i in range(min(self.rows, self.cols)))
 
-    def scale(self, c: int) -> "IntMatrix":  # scale(1): the (immutable) matrix itself
-        return self if c == 1 else IntMatrix._of(self.rows, self.cols, tuple(
-            tuple((j, c * x) for j, x in row if c) for row in self.nonzeros))
+    def scale(self, c: int) -> "IntMatrix":
+        return IntMatrix._of(self.rows, self.cols, tuple(tuple((j, c * x) for j, x in row if c)
+                                                         for row in self.nonzeros))
 
 
 def hstack(blocks: Sequence[IntMatrix]) -> IntMatrix:

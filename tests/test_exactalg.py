@@ -300,21 +300,14 @@ def test_homology_projective_plane_chain_level():
 
 
 def test_homology_composition_guard():
-    for _ in range(2):  # the check is cached, its failure is not
-        with pytest.raises(CompositionNotZero):
-            homology_at(mat([[1], [0]]), mat([[1, 0]]))
-
-
-def test_composition_guard_reads_every_row_of_the_product():
-    """The composition check sums each row of d_out . d_in: two terms that
-    cancel make a zero entry, and a nonzero entry in the last row alone is
-    found, on every call."""
-    d_in = mat([[1], [1]])
-    assert homology_at(d_in, mat([[1, -1]])).group == FGAbelianGroup(0)
-    d_out = mat([[1, -1], [0, 0], [1, 1]])  # rows of d_out . d_in: 1 - 1, 0, 1 + 1
-    for _ in range(2):
-        with pytest.raises(CompositionNotZero):
-            homology_at(d_in, d_out)
+    # Two terms that cancel make a zero entry of d_out . d_in.
+    assert homology_at(mat([[1], [1]]), mat([[1, -1]])).group == FGAbelianGroup(0)
+    # Rows of the second product: 1 - 1, 0, 1 + 1; only the last is nonzero.
+    for d_in, d_out in [(mat([[1], [0]]), mat([[1, 0]])),
+                        (mat([[1], [1]]), mat([[1, -1], [0, 0], [1, 1]]))]:
+        for _ in range(2):  # the check is cached, its failure is not
+            with pytest.raises(CompositionNotZero):
+                homology_at(d_in, d_out)
 
 
 def test_class_of_maps_boundaries_to_zero():
