@@ -892,8 +892,6 @@ def solve_mod(a: IntMatrix, b: Sequence[int], m: int) -> tuple[int, ...]:
     """Some x with entries in [0, m) and A x = b (mod m); raises NoSolution
     otherwise.  For m = 2 this is Gaussian elimination over GF(2) (see
     ``_solve_gf2``); for other m, an integer solve of [A | m I] y = b."""
-    if a.rows == 0:
-        return (0,) * a.cols
     if m == 2:
         return _solve_gf2(a, b)
     aug = hstack([a, IntMatrix.identity(a.rows).scale(m)])

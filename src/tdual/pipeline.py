@@ -29,7 +29,6 @@ from .tduality import (
 )
 
 
-@lru_cache(maxsize=256)
 def _space_for(kind: str, param: int) -> SpaceInfo:
     if kind == "klein":
         return space("circle")
@@ -51,27 +50,20 @@ def _flux_for(kind: str, param: int, j: int, k: int) -> FluxPair:
     return build_flux(_bundle_for(kind, param, j), k)
 
 
-@lru_cache(maxsize=1024)
-def _k_groups(pair: FluxPair, xi_twist: bool) -> KGroups:
-    """``ahss_k_groups`` of a pair under one twist.  The dual of catalog pair
-    (j, k) equals pair (k, j), so a pair's groups, read for itself and for
-    its dual, are computed once."""
-    return ahss_k_groups(TwistClass.from_flux(pair, xi_twist))
-
-
 @lru_cache(maxsize=512)
 def _resolved_k_groups(kind: str, param: int, j: int, k: int,
                        xi_twist: bool) -> tuple[KGroups, bool]:
-    """The pair's K-groups, and whether K^1 was resolved against the dual.
+    """The K-groups of catalog cell (j, k), and whether K^1 was resolved
+    against the dual.
 
     Only the orientation-twisted K^1 can be ambiguous: the plain one is an
     extension of H^1(E; Z), which is torsion-free.  The ambiguous one is
-    settled by the dual's K-groups under the other twist."""
-    pair = _flux_for(kind, param, j, k)
-    kg = _k_groups(pair, xi_twist)
+    settled by the dual's K-groups under the other twist; the dual of cell
+    (j, k) is cell (k, j), so each cell's groups are computed once."""
+    kg = ahss_k_groups(TwistClass.from_flux(_flux_for(kind, param, j, k), xi_twist))
     if kg.resolved:
         return kg, False
-    return resolve_by_tduality(kg, _k_groups(pair.dual(), not xi_twist)), True
+    return resolve_by_tduality(kg, _resolved_k_groups(kind, param, k, j, not xi_twist)[0]), True
 
 
 def compute_fixture(fx: Fixture) -> tuple:

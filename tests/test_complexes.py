@@ -384,6 +384,17 @@ def test_bockstein_requires_cocycle():
             bockstein(c)
 
 
+def test_mod2_coboundaries_of_projective_plane():
+    # H^1(RP^2; Z/2) = Z/2 is spanned by w1, so w1 is no coboundary, while
+    # delta of a vertex function is one
+    info = crosscap_sum(1)
+    x = info.complex
+    u = TwistedCochain(x, 0, tuple(v % 2 for v in range(x.count(0))), None, 2)
+    assert not coboundary(u).is_zero() and is_coboundary(coboundary(u))
+    w1 = _mod2(x, tuple(0 if s == 1 else 1 for s in info.xi().edge_signs))
+    assert coboundary(w1).is_zero() and not is_coboundary(w1)
+
+
 def test_groups_are_read_without_generator_factorizations(monkeypatch):
     """Cohomology groups factor the coboundaries through the cache and
     nothing else; homology groups and Q groups read after them factor

@@ -1,9 +1,9 @@
-"""Flux pairs and the correspondence complex live over bases of
+"""Flux pairs, twists and the correspondence complex live over bases of
 dimension <= 2.
 
 The full 3-simplex, with a trivial orientation system and a zero Euler
 cocycle, is the smallest base above that bound: the library, the command
-line and the K-theory filtration must each refuse it cleanly.
+line and the K-theory twists must each refuse it cleanly.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 from tdual.bundles import BundleDescriptor
 from tdual.cli import main
 from tdual.complexes import DeltaComplex, LocalSystem
-from tdual.ktheory import DimensionTooHigh, TwistClass, ahss_k_groups
+from tdual.ktheory import TwistClass
 from tdual.tduality import CorrespondenceComplex, FluxPair
 
 
@@ -60,7 +60,6 @@ def test_correspondence_complex_rejects_a_three_dimensional_base():
 def test_k_groups_refuse_a_four_dimensional_total_model():
     bundle = simplex3_bundle()
     m = bundle.base
-    twist = TwistClass(bundle, (0,) * m.count(1), (0,) * m.count(0),
-                       (0,) * m.count(3), (0,) * m.count(2))
-    with pytest.raises(DimensionTooHigh):
-        ahss_k_groups(twist)
+    with pytest.raises(ValueError, match=r"twists need a base of dimension <= 2, not 3"):
+        TwistClass(bundle, (0,) * m.count(1), (0,) * m.count(0),
+                   (0,) * m.count(3), (0,) * m.count(2))

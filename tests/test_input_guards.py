@@ -26,7 +26,6 @@ from tdual.complexes import (
     NotACocycle,
     TwistedCochain,
     bockstein,
-    coboundary,
     cochain_complex,
     cohomology,
     cup,
@@ -47,13 +46,7 @@ from tdual.exactalg import (
 )
 from tdual.fixtures import Fixture
 from tdual.fourier import Form, FourierScalar, VectorField
-from tdual.ktheory import (
-    SpaceMismatch,
-    TwistClass,
-    UnsupportedTwist,
-    same_twist_class,
-    twist_product,
-)
+from tdual.ktheory import SpaceMismatch, TwistClass, same_twist_class
 from tdual.pipeline import compute_fixture
 from tdual.tduality import CorrCochain, CorrespondenceComplex, FluxPair
 
@@ -85,16 +78,6 @@ def context(d=2, **forms):
 
 def section(vec_cover=3, form=None):
     return GeneralizedSection(VectorField.zero(vec_cover), form or Form.zero(3))
-
-
-def simplex_twist():
-    """A twist on the trivial bundle over a 3-simplex, e = delta(w), with
-    fibre constant 1: closed, but w cup w is no mod-2 cocycle in the total
-    model, since e ^ w + w ^ e is 1 on the 3-simplex."""
-    w = (0, 0, 0, 1, 0, 1)  # 1 on the edges 12 and 23
-    xi = LocalSystem(SIMPLEX3, (1,) * 6)
-    bundle = BundleDescriptor(SIMPLEX3, xi, coboundary(TwistedCochain(SIMPLEX3, 1, w, xi)).values)
-    return TwistClass(bundle, w, (1,) * 4, (0,), (0,) * 4)
 
 
 CASES = [
@@ -199,10 +182,10 @@ CASES = [
     (lambda: TwistClass(BUNDLE, (1,) + (0,) * (X.count(1) - 1), (0,) * X.count(0), (), PAIR.fhat),
      ValueError, "degree-1 twist is not mod-2 closed in the total model"),
     (lambda: TwistClass(BundleDescriptor(SIMPLEX3, LocalSystem(SIMPLEX3, (1,) * 6), (0,) * 4),
-                        (0,) * 6, (0,) * 4, (0,), (1, 0, 0, 0)),
-     ValueError, "degree-3 twist is not closed in the total model"),
-    (lambda: twist_product(simplex_twist(), simplex_twist()),
-     UnsupportedTwist, "cup product of the twists is not a mod-2 cocycle"),
+                        (0,) * 6, (0,) * 4, (0,), (0,) * 4),
+     ValueError, "twists need a base of dimension <= 2, not 3"),
+    # exactalg, placed here so that the numbered ids of the later cases do not shift
+    (lambda: solve_mod(IntMatrix.zeros(0, 2), [1], 2), ValueError, "rhs length mismatch"),
     (lambda: same_twist_class(TwistClass.from_flux(PAIR), TwistClass.from_flux(
         build_flux(BundleDescriptor(X, XI, (0,) * X.count(2))))),
      SpaceMismatch, "twists live on different spaces"),

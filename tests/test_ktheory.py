@@ -1,13 +1,16 @@
+import random
+import sys
+
 import pytest
 
 from tdual import pipeline
 from tdual.bundles import BundleDescriptor
-from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, sigma
-from tdual.complexes import DeltaComplex, LocalSystem
+from tdual.catalog import build_bundle, build_flux, circle, crosscap_sum, klein_bottle, sigma, torus
+from tdual.complexes import DeltaComplex, LocalSystem, TwistedCochain, coboundary, coboundary_matrix
 from tdual.exactalg import FGAbelianGroup as FG
+from tdual.fixtures import all_fixtures
 from tdual.ktheory import (
     AmbiguousExtension,
-    DimensionTooHigh,
     KGroups,
     MultipleMatches,
     NoMatchingCandidate,
@@ -239,6 +242,11 @@ def test_fiber_twist_rejected():
                    (0,) * m.count(3), (0,) * m.count(2))
     with pytest.raises(UnsupportedTwist):
         ahss_k_groups(t)
+    # two disjoint loops, the fibre component on the second one only
+    x = DeltaComplex(2, (((0, 0), (1, 1)),))
+    b = BundleDescriptor(x, LocalSystem(x, (1, 1)), ())
+    with pytest.raises(UnsupportedTwist, match="degree-1 twist with a fiber component"):
+        ahss_k_groups(TwistClass(b, (0, 0), (0, 1), (), ()))
 
 
 def test_extension_enumeration():
@@ -283,15 +291,14 @@ def test_k_level_exchange_both_directions():
 
 
 def test_fixtures_compute_each_pairs_k_groups_once(monkeypatch):
-    """``run_fixtures()`` reads a pair's K-groups, and its dual's, through
-    one cache keyed on the pair and the twist; the dual of catalog pair
-    (j, k) is pair (k, j).  So ``ahss_k_groups`` runs once per distinct
+    """``run_fixtures()`` reads a cell's K-groups, and its dual's, through
+    one cache keyed on the catalog cell and the twist; the dual of catalog
+    cell (j, k) is cell (k, j).  So ``ahss_k_groups`` runs once per distinct
     (pair, twist), 122 times over the 184 cells where a call per read
     made 182, and every cell keeps the value computed without the cache."""
     calls = []
     monkeypatch.setattr(pipeline, "ahss_k_groups", lambda t: calls.append(t) or ahss_k_groups(t))
     pipeline._resolved_k_groups.cache_clear()
-    pipeline._k_groups.cache_clear()
     results = pipeline.run_fixtures()
     assert len(results) == 184 and all(r.ok for r in results)
     distinct = set()
@@ -332,3 +339,68 @@ def test_rational_report_prints_pass_and_fail():
     assert str(RationalReport((1, 2), (1, 2))) == \
         "rank K^0/K^1 = (1, 2) vs twisted even/odd dims = (1, 2) [pass]"
     assert str(RationalReport((1, 2), (2, 1))).endswith("[FAIL]")
+
+
+# ---------------------------------------------------------------------------
+# Facts the K-group layer relies on
+# ---------------------------------------------------------------------------
+
+def test_dual_of_a_catalog_cell_is_the_swapped_cell():
+    """The dual of cell (j, k) is cell (k, j), so a cell's groups can be
+    resolved against the swapped cell's."""
+    cells = {(fx.space, (fx.params + (0, 0, 0))[:3])
+             for fx in all_fixtures() if fx.kind == "k-groups"}
+    for kind, (param, j, k) in cells:
+        assert pipeline._flux_for(kind, param, j, k).dual() == \
+            pipeline._flux_for(kind, param, k, j), (kind, param, j, k)
+
+
+def test_k_groups_depend_on_the_class_of_w_only():
+    """Moving w by the mod-2 coboundary of a vertex function, also from
+    w = 0 to w = delta u under the plain twist, leaves the groups alone."""
+    rng = random.Random(0)
+    moved_plain = 0
+    for info in (circle(), torus(), klein_bottle(), sigma(1), crosscap_sum(1), crosscap_sum(2)):
+        x = info.complex
+        js = (0, 1) if x.dimension == 2 else (0,)
+        for j in js:
+            for k in js:
+                for xi_twist in (False, True):
+                    t = TwistClass.from_flux(pair_for(info, j, k), xi_twist)
+                    u = [rng.randrange(2) for _ in range(x.count(0))]
+                    du = coboundary_matrix(x, 0).mul_vec(u)
+                    w = tuple((a + b) % 2 for a, b in zip(t.w_base, du))
+                    moved_plain += not xi_twist and any(w)
+                    moved = TwistClass(t.bundle, w, t.w_fiber, t.h3, t.fhat)
+                    assert ahss_k_groups(moved) == ahss_k_groups(t), (info.name, j, k, xi_twist)
+    assert moved_plain
+
+
+def test_k_groups_make_no_mod_m_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_mod called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tdual") and hasattr(mod, "solve_mod"):
+            monkeypatch.setattr(mod, "solve_mod", refuse)
+    assert not ahss_k_groups(TwistClass.from_flux(pair_for(sigma(1), 0, 0), True)).resolved
+
+
+def test_products_of_surface_twists_with_a_fiber_component():
+    """Over a surface the Bockstein's cup product is always a mod-2
+    cocycle, fibre constants 0 and 1 alike, so products and inverses exist."""
+    for info in (circle(), sigma(1), klein_bottle(), crosscap_sum(1), crosscap_sum(3)):
+        x, xi = info.complex, info.xi()
+        n0, n1 = x.count(0), x.count(1)
+        w = tuple(v % 2 for v in range(n1))
+        bundle = BundleDescriptor(x, xi, coboundary(TwistedCochain(x, 1, w, xi)).values)
+        fhat = tuple(range(x.count(2)))
+        orient = tuple(0 if s == 1 else 1 for s in xi.edge_signs)
+        fiber = [TwistClass(bundle, w, (1,) * n0, (), fhat),
+                 TwistClass(bundle, tuple((a + b) % 2 for a, b in zip(w, orient)), (1,) * n0, (), fhat)]
+        plain = [TwistClass(bundle, orient, (0,) * n0, (), fhat), zero_twist(bundle)]
+        for t1 in fiber + plain:
+            inv = twist_inverse(t1)
+            assert same_twist_class(twist_product(t1, inv), zero_twist(bundle)), info.name
+            for t2 in fiber + plain:
+                twist_product(t1, t2)
