@@ -3,6 +3,8 @@ message.  Checks on what a JSON input file can carry are exercised
 through the command line in ``tests/test_cli.py``; these are the ones only
 a library caller can reach."""
 
+import dataclasses
+
 import pytest
 
 from tdual import catalog
@@ -26,6 +28,7 @@ from tdual.complexes import (
     NotACocycle,
     TwistedCochain,
     bockstein,
+    coboundary,
     cochain_complex,
     cohomology,
     cup,
@@ -46,7 +49,13 @@ from tdual.exactalg import (
 )
 from tdual.fixtures import Fixture
 from tdual.fourier import Form, FourierScalar, VectorField
-from tdual.ktheory import SpaceMismatch, TwistClass, same_twist_class
+from tdual.ktheory import (
+    SpaceMismatch,
+    TwistClass,
+    UnsupportedTwist,
+    same_twist_class,
+    twist_product,
+)
 from tdual.pipeline import compute_fixture
 from tdual.tduality import CorrCochain, CorrespondenceComplex, FluxPair
 
@@ -78,6 +87,22 @@ def context(d=2, **forms):
 
 def section(vec_cover=3, form=None):
     return GeneralizedSection(VectorField.zero(vec_cover), form or Form.zero(3))
+
+
+def simplex_twist():
+    """A twist on the trivial bundle over a 3-simplex, e = delta(w), with
+    fibre constant 1, built without ``TwistClass``'s checks, which refuse
+    its base: w cup w is no mod-2 cocycle in the total model, since
+    e ^ w + w ^ e is 1 on the 3-simplex.  It reaches the Bockstein recheck
+    that no twist over a surface can fail."""
+    w = (0, 0, 0, 1, 0, 1)  # 1 on the edges 12 and 23
+    xi = LocalSystem(SIMPLEX3, (1,) * 6)
+    bundle = BundleDescriptor(SIMPLEX3, xi, coboundary(TwistedCochain(SIMPLEX3, 1, w, xi)).values)
+    twist = object.__new__(TwistClass)
+    for field, value in zip(dataclasses.fields(TwistClass),
+                            (bundle, w, (1,) * 4, (0,), (0,) * 4)):
+        object.__setattr__(twist, field.name, value)
+    return twist
 
 
 CASES = [
@@ -184,8 +209,8 @@ CASES = [
     (lambda: TwistClass(BundleDescriptor(SIMPLEX3, LocalSystem(SIMPLEX3, (1,) * 6), (0,) * 4),
                         (0,) * 6, (0,) * 4, (0,), (0,) * 4),
      ValueError, "twists need a base of dimension <= 2, not 3"),
-    # exactalg, placed here so that the numbered ids of the later cases do not shift
-    (lambda: solve_mod(IntMatrix.zeros(0, 2), [1], 2), ValueError, "rhs length mismatch"),
+    (lambda: twist_product(simplex_twist(), simplex_twist()),
+     UnsupportedTwist, "cup product of the twists is not a mod-2 cocycle"),
     (lambda: same_twist_class(TwistClass.from_flux(PAIR), TwistClass.from_flux(
         build_flux(BundleDescriptor(X, XI, (0,) * X.count(2))))),
      SpaceMismatch, "twists live on different spaces"),
@@ -201,6 +226,8 @@ CASES = [
      BaseMismatch, "bundles live over different bases"),
     (lambda: CorrespondenceComplex(build_bundle(N1, N1.xi(), 0), build_bundle(N1, N1.trivial_xi(), 0)),
      BaseMismatch, "orientation cocycles differ; align first"),
+    # exactalg, last so that the numbered ids of the earlier cases do not shift
+    (lambda: solve_mod(IntMatrix.zeros(0, 2), [1], 2), ValueError, "rhs length mismatch"),
 ]
 
 
